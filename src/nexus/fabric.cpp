@@ -18,13 +18,21 @@ constexpr std::uint64_t kShardStride = 0x9e3779b97f4a7c15ull;
 /// locally idle.
 class SimFabric::ShardSource : public simnet::ExternalSource {
  public:
+  static constexpr std::size_t kDrainBatch = 256;
+
   ShardSource(SimFabric& fabric, std::size_t shard)
       : fabric_(fabric), shard_(shard) {}
 
   bool drain() override {
     auto& inbound = fabric_.shards_[shard_]->inbound;
+    // Bounded batch: producers on other shards may enqueue faster than one
+    // consumer ingests (a retransmission storm), and an unbounded loop
+    // would then never hand the baton to the processes that must act on
+    // the traffic.  The remainder waits for the next drain.
     std::size_t n = 0;
-    while (auto post = inbound.try_pop()) {
+    while (n < kDrainBatch) {
+      auto post = inbound.try_pop();
+      if (!post) break;
       post->box->post(post->arrival, std::move(post->pkt));
       ++n;
     }
@@ -43,12 +51,23 @@ class SimFabric::ShardSource : public simnet::ExternalSource {
   const std::size_t shard_;
 };
 
+McastGroups::McastGroups() {
+  auto empty = std::make_unique<Map>();
+  current_.store(empty.get(), std::memory_order_release);
+  retired_.push_back(std::move(empty));
+}
+
+void McastGroups::join(std::uint32_t group, ContextId ctx, EndpointId ep) {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  auto next = std::make_unique<Map>(*current_.load(std::memory_order_relaxed));
+  (*next)[group].emplace_back(ctx, ep);
+  current_.store(next.get(), std::memory_order_release);
+  retired_.push_back(std::move(next));
+}
+
 SimFabric::SimFabric(simnet::Topology topology)
     : topology_(std::move(topology)) {
   shards_.push_back(std::make_unique<Shard>());
-  auto snapshot = std::make_unique<McastMap>();
-  mcast_snapshot_.store(snapshot.get(), std::memory_order_release);
-  mcast_retired_.push_back(std::move(snapshot));
   seed_fault_rngs();
 }
 
@@ -100,16 +119,6 @@ void SimFabric::post_cross_shard(ContextId dst, simnet::Mailbox<Packet>& box,
   shards_[target]->inbound.push(
       CrossShardPost{&box, arrival, std::move(pkt)});
   group_->wake(target);
-}
-
-void SimFabric::multicast_join(std::uint32_t group, ContextId ctx,
-                               EndpointId ep) {
-  std::lock_guard<std::mutex> lock(mcast_write_mutex_);
-  auto next = std::make_unique<McastMap>(
-      *mcast_snapshot_.load(std::memory_order_relaxed));
-  (*next)[group].emplace_back(ctx, ep);
-  mcast_snapshot_.store(next.get(), std::memory_order_release);
-  mcast_retired_.push_back(std::move(next));
 }
 
 void SimFabric::set_faults(simnet::FaultPlan plan, std::uint64_t seed) {

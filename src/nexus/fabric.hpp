@@ -1,4 +1,5 @@
-// Fabric state shared by the per-context communication modules.
+// Fabric state shared by the per-context communication modules (through
+// their wires, proto/wire.hpp).
 //
 // The simulated fabric owns one conservative scheduler per *shard* (threads=1
 // collapses to the classic single-scheduler layout, bit-identical to the
@@ -41,6 +42,37 @@
 
 namespace nexus {
 
+/// Multicast group membership, one registry per fabric.  Copy-on-write: a
+/// join builds a fresh map under a mutex and publishes it with one atomic
+/// store; retired maps stay alive until the registry dies, so a sender's
+/// snapshot never dangles.  Reads are wait-free and possibly one join stale
+/// (exactly the semantics of a real network's propagation delay).
+class McastGroups {
+ public:
+  using Members = std::vector<std::pair<ContextId, EndpointId>>;
+
+  McastGroups();
+  McastGroups(const McastGroups&) = delete;
+  McastGroups& operator=(const McastGroups&) = delete;
+
+  /// Join `ctx`/`ep` to `group` (thread-safe).
+  void join(std::uint32_t group, ContextId ctx, EndpointId ep);
+  /// Members of `group` in the current snapshot; nullptr when it has none.
+  /// The pointee is immutable and valid for the registry's lifetime.
+  const Members* members(std::uint32_t group) const {
+    const Map& map = *current_.load(std::memory_order_acquire);
+    auto it = map.find(group);
+    return it == map.end() ? nullptr : &it->second;
+  }
+
+ private:
+  using Map = std::map<std::uint32_t, Members>;
+
+  std::mutex write_mutex_;
+  std::atomic<const Map*> current_;
+  std::vector<std::unique_ptr<Map>> retired_;
+};
+
 /// Per-context endpoint of the simulated fabric.
 struct SimHost {
   simnet::SimProcess* proc = nullptr;
@@ -52,8 +84,9 @@ struct SimHost {
   /// synchronization edge.
   std::atomic<double> inbound_drag{1.0};
   /// Bytes currently in flight toward this host over the TCP-class method;
-  /// maintained by TcpSimModule for the incast-collapse model.  Atomic for
-  /// the same reason: senders on every shard add, the receiver subtracts.
+  /// maintained by the simulated wire of a link with an incast profile
+  /// (proto/wire.hpp).  Atomic for the same reason: senders on every shard
+  /// add, the receiver subtracts.
   std::atomic<std::uint64_t> tcp_inflight_bytes{0};
 
   simnet::Mailbox<Packet>& box(std::string_view method) {
@@ -68,9 +101,6 @@ struct SimHost {
 
 class SimFabric {
  public:
-  using McastMembers = std::vector<std::pair<ContextId, EndpointId>>;
-  using McastMap = std::map<std::uint32_t, McastMembers>;
-
   explicit SimFabric(simnet::Topology topology);
   ~SimFabric();
 
@@ -109,14 +139,12 @@ class SimFabric {
   simnet::SimProcess& process_of(ContextId id);
 
   /// Deliver `pkt` into `box` (a mailbox of context `dst`) at virtual time
-  /// `arrival`.  Same-shard: a direct mailbox post (the unchanged 1-alloc
-  /// hot path).  Cross-shard: one MPSC enqueue (+1 node alloc) plus a
-  /// conditional wakeup; the receiving shard's scheduler drains it into the
-  /// mailbox on its own thread.  `src` names the posting context (the
-  /// caller must be running on src's home shard).
-  /// Deliver `pkt` into `box` (owned by `dst`).  Same-shard posts -- the
-  /// entire workload at threads=1 -- stay on the classic direct-mailbox
-  /// hot path, inlined; cross-shard posts take the out-of-line MPSC route.
+  /// `arrival`.  Same-shard posts -- the entire workload at threads=1 --
+  /// stay on the direct-mailbox 1-alloc hot path, inlined.  Cross-shard:
+  /// one MPSC enqueue (+1 node alloc) plus a conditional wakeup; the
+  /// receiving shard's scheduler drains it into the mailbox on its own
+  /// thread.  `src` names the posting context (the caller must be running
+  /// on src's home shard).
   void post(ContextId src, ContextId dst, simnet::Mailbox<Packet>& box,
             simnet::Time arrival, Packet pkt) {
     if (group_ == nullptr || same_shard(src, dst)) {
@@ -130,28 +158,13 @@ class SimFabric {
 
   SimHost& host(ContextId id) { return *hosts_.at(id); }
   void add_host(std::unique_ptr<SimHost> h) { hosts_.push_back(std::move(h)); }
-  std::size_t host_count() const noexcept { return hosts_.size(); }
 
-  // ---- multicast ---------------------------------------------------------
-
-  /// Join `ctx`/`ep` to `group`.  Copy-on-write: the writer builds a fresh
-  /// snapshot under a mutex and publishes it with one atomic store; retired
-  /// snapshots stay alive until the fabric dies, so a concurrent sender's
-  /// snapshot pointer never dangles.
-  void multicast_join(std::uint32_t group, ContextId ctx, EndpointId ep);
-
-  /// Wait-free read of the current membership map.  The returned reference
-  /// is to an immutable snapshot: valid for the fabric's lifetime, possibly
-  /// stale by one join (exactly the semantics of a real network's
-  /// propagation delay).
-  const McastMap& multicast_snapshot() const {
-    return *mcast_snapshot_.load(std::memory_order_acquire);
-  }
+  McastGroups& multicast() noexcept { return mcast_; }
 
   // ---- fault injection ---------------------------------------------------
 
-  /// Deterministic fault-injection plan every simulated module consults at
-  /// send time.  Mutable between runs and, under threads=1, mid-run (the
+  /// Deterministic fault-injection plan the simulated wire consults at
+  /// every send.  Mutable between runs and, under threads=1, mid-run (the
   /// scheduler serializes sim processes); threaded runs must install the
   /// plan before run().
   void set_faults(simnet::FaultPlan plan, std::uint64_t seed);
@@ -200,9 +213,7 @@ class SimFabric {
   std::vector<std::unique_ptr<SimHost>> hosts_;
   std::vector<simnet::SimProcess*> procs_by_ctx_;
 
-  std::mutex mcast_write_mutex_;
-  std::atomic<const McastMap*> mcast_snapshot_;
-  std::vector<std::unique_ptr<McastMap>> mcast_retired_;
+  McastGroups mcast_;
 
   simnet::FaultPlan faults_;
   std::uint64_t fault_seed_ = 0;
@@ -230,31 +241,13 @@ struct RtHost {
 
 class RtFabric {
  public:
-  explicit RtFabric(simnet::Topology topology)
-      : topology_(std::move(topology)) {}
-
-  const simnet::Topology& topology() const noexcept { return topology_; }
   RtHost& host(ContextId id) { return *hosts_.at(id); }
   void add_host(std::unique_ptr<RtHost> h) { hosts_.push_back(std::move(h)); }
-  std::size_t host_count() const noexcept { return hosts_.size(); }
 
-  /// Thread-safe multicast group membership (contexts join from their own
-  /// threads).
-  void multicast_join(std::uint32_t group, ContextId ctx, EndpointId ep) {
-    std::lock_guard<std::mutex> lock(mcast_mutex_);
-    multicast_groups_[group].emplace_back(ctx, ep);
-  }
-  std::vector<std::pair<ContextId, EndpointId>> multicast_members(
-      std::uint32_t group) const {
-    std::lock_guard<std::mutex> lock(mcast_mutex_);
-    auto it = multicast_groups_.find(group);
-    return it == multicast_groups_.end()
-               ? std::vector<std::pair<ContextId, EndpointId>>{}
-               : it->second;
-  }
+  McastGroups& multicast() noexcept { return mcast_; }
 
-  /// Fault-injection hook for the realtime fabric: called by every rt
-  /// module before enqueueing a packet.  Must be installed before run()
+  /// Fault-injection hook for the realtime fabric: the realtime wire calls
+  /// it before enqueueing every packet.  Must be installed before run()
   /// (sends happen on context threads) and must itself be thread-safe.
   /// extra_delay verdicts are ignored -- real time cannot be scripted.
   using FaultHook = std::function<simnet::FaultVerdict(
@@ -263,11 +256,8 @@ class RtFabric {
   const FaultHook& fault_hook() const noexcept { return fault_hook_; }
 
  private:
-  simnet::Topology topology_;
   std::vector<std::unique_ptr<RtHost>> hosts_;
-  mutable std::mutex mcast_mutex_;
-  std::map<std::uint32_t, std::vector<std::pair<ContextId, EndpointId>>>
-      multicast_groups_;
+  McastGroups mcast_;
   FaultHook fault_hook_;
 };
 

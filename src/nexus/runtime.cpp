@@ -42,7 +42,7 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(std::move(opts)) {
     sim_ = std::make_unique<SimFabric>(opts_.topology);
     sim_->set_faults(opts_.faults, opts_.seed);
   } else {
-    rt_ = std::make_unique<RtFabric>(opts_.topology);
+    rt_ = std::make_unique<RtFabric>();
     opts_.costs = SimCostParams::realtime(opts_.costs);
   }
   // Environment overrides, mirroring NEXUS_LOG in util/log.cpp: NEXUS_TRACE

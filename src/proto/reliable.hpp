@@ -47,9 +47,9 @@
 #include <vector>
 
 #include "nexus/context.hpp"
-#include "nexus/fabric.hpp"
 #include "nexus/module.hpp"
 #include "nexus/runtime.hpp"
+#include "proto/wire.hpp"
 
 namespace nexus::proto {
 
@@ -167,9 +167,9 @@ class ReliableModule final : public CommModule {
   CommDescriptor unwrap(const CommDescriptor& remote) const;
   SendState& send_state(ContextId peer, const CommDescriptor& inner_desc);
   RecvState& recv_state(ContextId peer);
-  /// Point an inner connection's cached route at the *wrapper's* inbox on
+  /// An inner connection whose frames land in the *wrapper's* inbox on
   /// the landing host, so rel frames never mix with plain inner traffic.
-  void point_at_rel_inbox(CommObject& conn) const;
+  std::unique_ptr<CommObject> inner_connect(const CommDescriptor& inner_desc);
   SendEntry& slot(SendState& st, std::uint64_t seq) {
     return st.ring[static_cast<std::size_t>(seq % window_)];
   }
@@ -193,7 +193,6 @@ class ReliableModule final : public CommModule {
   /// Drain the wrapper inbox completely: acks are consumed, in-order data
   /// lands in ready_.
   void drain_inbox();
-  std::optional<Packet> inbox_pop();
   /// inner_->send plus inner-layer counter upkeep (the wrapper drives the
   /// inner module directly, bypassing the context send path that normally
   /// does this accounting).
@@ -221,10 +220,8 @@ class ReliableModule final : public CommModule {
   /// In-order Data packets (rel header already stripped) awaiting dispatch.
   std::deque<Packet> ready_;
 
-  // The wrapper's own inbox on this context's host (exactly one is set,
-  // by fabric kind).
-  simnet::Mailbox<Packet>* sim_inbox_ = nullptr;
-  util::MpscQueue<Packet>* rt_inbox_ = nullptr;
+  /// The wire binding the wrapper's own inbox on this context's host.
+  std::unique_ptr<Wire> inbox_;
 
   std::uint64_t window_ = 32;
   int max_retries_ = 12;

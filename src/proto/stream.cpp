@@ -11,27 +11,18 @@ namespace {
 constexpr std::size_t kFragHeader = 8 + 4 + 4 + 4;  // incl. chunk length
 }  // namespace
 
-StreamSimModule::StreamSimModule(Context& ctx)
-    : SimModuleBase(ctx, "stream",
-                    LinkCosts{ctx.costs().tcp_latency,
-                              ctx.costs().tcp_poll_cost,
-                              ctx.costs().tcp_send_cpu, ctx.costs().tcp_mb_s},
-                    10),
+StreamModule::StreamModule(Context& ctx)
+    : WireModule(ctx, "stream",
+                 LinkCosts{ctx.costs().tcp_latency, ctx.costs().tcp_poll_cost,
+                           ctx.costs().tcp_send_cpu, ctx.costs().tcp_mb_s},
+                 10),
       mtu_(static_cast<std::uint64_t>(
           std::max<std::int64_t>(64, ctx.config().get_int("stream.mtu",
                                                           8192)))) {}
 
-CommDescriptor StreamSimModule::local_descriptor() const {
-  return CommDescriptor{std::string(name()), ctx_->id(), {}};
-}
-
-bool StreamSimModule::applicable(const CommDescriptor& remote) const {
-  return remote.method == name();
-}
-
-SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
-  SimConn& c = static_cast<SimConn&>(conn);
-  simnet::Mailbox<Packet>& box = route(c);
+SendResult StreamModule::send(CommObject& conn, Packet packet) {
+  WireConn& c = static_cast<WireConn&>(conn);
+  const LinkCosts& costs = wire_->costs();
   const std::uint64_t stream = next_stream_id_++;
   const std::uint64_t size = packet.payload.size();
   const auto total = static_cast<std::uint32_t>(
@@ -59,14 +50,13 @@ SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
 
     // Fragments pipeline: the sender pays CPU per fragment, and each
     // fragment's transfer follows the previous one on the wire.
-    ctx_->clock().advance(costs_.send_cpu);
+    wire_->charge_send_cpu();
     const std::uint64_t wire = piece.wire_size();
     wire_total += wire;
     const Time depart = std::max(arrival, now());
-    arrival = depart + simnet::transfer_time(wire, costs_.mb_s);
+    arrival = depart + simnet::transfer_time(wire, costs.mb_s);
     const SendResult r =
-        post_faulted(c.landing(), box, std::move(piece),
-                     arrival + costs_.latency, wire);
+        wire_->deliver(c, std::move(piece), arrival + costs.latency, wire);
     if (!r.ok()) {
       // A fault ate this fragment: the stream cannot complete, so surface
       // the failure (the receiver's partial assembly is abandoned; a retry
@@ -78,8 +68,8 @@ SendResult StreamSimModule::send(CommObject& conn, Packet packet) {
   return {DeliveryStatus::Ok, wire_total};
 }
 
-std::optional<Packet> StreamSimModule::poll() {
-  while (auto piece = SimModuleBase::poll()) {
+std::optional<Packet> StreamModule::poll() {
+  while (auto piece = WireModule::poll()) {
     ++fragments_received_;
     util::UnpackBuffer ub(piece->payload.span());
     const std::uint64_t stream = ub.get_u64();
@@ -95,18 +85,19 @@ std::optional<Packet> StreamSimModule::poll() {
     // One corrupt fragment poisons the whole message: the reassembled
     // packet keeps the flag so the receiving engine quarantines it.
     if (piece->corrupted) as.header.corrupted = true;
-    if (as.total != total) {
+    if (as.total != total || index >= total) {
       throw util::MethodError("stream: inconsistent fragment count");
     }
-    // Same-pipe fragments arrive in order; guard anyway.
-    if (index != as.received) {
-      throw util::MethodError("stream: fragment out of order");
+    if (!as.chunks.try_emplace(index, chunk.begin(), chunk.end()).second) {
+      throw util::MethodError("stream: duplicate fragment");
     }
-    as.data.insert(as.data.end(), chunk.begin(), chunk.end());
-    ++as.received;
-    if (as.received == as.total) {
+    if (as.chunks.size() == as.total) {
       Packet whole = std::move(as.header);
-      whole.payload = std::move(as.data);
+      util::Bytes data;
+      for (const auto& [i, bytes] : as.chunks) {
+        data.insert(data.end(), bytes.begin(), bytes.end());
+      }
+      whole.payload = std::move(data);
       assemblies_.erase({piece->src, stream});
       return whole;
     }

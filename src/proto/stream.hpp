@@ -7,25 +7,25 @@
 // the module at the receiver -- the delivered RSR is indistinguishable
 // from a single-message method, demonstrating that a stream-oriented
 // transport slots under the standard module interface without touching the
-// core.  Fragments of one message travel a fixed-latency pipe, so they
-// arrive in order; interleaved streams from different senders are
-// reassembled independently.
+// core.  Fragments of one message travel a fixed-latency pipe, but each
+// consults the fault plan on its own, so a delay window closing mid-message
+// lets later fragments overtake earlier ones: reassembly accepts fragments
+// in any order.  Interleaved streams from different senders are reassembled
+// independently.
 //
 // Resource database keys: stream.mtu (bytes per fragment, default 8192).
 #pragma once
 
 #include <map>
 
-#include "proto/sim_modules.hpp"
+#include "proto/modules.hpp"
 
 namespace nexus::proto {
 
-class StreamSimModule final : public SimModuleBase {
+class StreamModule final : public WireModule {
  public:
-  explicit StreamSimModule(Context& ctx);
+  explicit StreamModule(Context& ctx);
 
-  CommDescriptor local_descriptor() const override;
-  bool applicable(const CommDescriptor& remote) const override;
   SendResult send(CommObject& conn, Packet packet) override;
   std::optional<Packet> poll() override;
 
@@ -37,8 +37,7 @@ class StreamSimModule final : public SimModuleBase {
  private:
   struct Assembly {
     std::uint32_t total = 0;
-    std::uint32_t received = 0;
-    util::Bytes data;
+    std::map<std::uint32_t, util::Bytes> chunks;  ///< by fragment index
     Packet header;  ///< src/dst/endpoint/handler of the original message
   };
 

@@ -91,6 +91,12 @@ void SimProcess::advance(Time dt) {
   assert(t_current == this && "advance() must run on the process thread");
   assert(dt >= 0);
   const Time target = clock_ + dt;
+  // Sharded runs: a process that never blocks would otherwise never hand
+  // the baton back, so cross-shard posts toward this shard would sit
+  // undrained for as long as it computes.  Ingesting them here makes them
+  // visible to its next poll, and any wake they arm for another local
+  // process clamps this process's horizon as usual.
+  sched_.drain_external();
   while (clock_ < target) {
     const Time limit = horizon_ + slack_;
     if (target <= limit) {

@@ -62,26 +62,30 @@ void Scheduler::run() {
   running_ = true;
   while (true) {
     // Sharded runs: ingest cross-shard traffic before every dispatch so
-    // arrivals become timers/wakes visible to the pick below.
-    if (external_ != nullptr) external_->drain();
+    // arrivals become timers/wakes visible to the pick below.  Once per
+    // dispatch, not per timer fired: traffic landing in this shard's past
+    // arms a timer due at once, and re-draining after every fire would let
+    // a steady cross-shard stream starve dispatch indefinitely.
+    drain_external();
 
-    // Pick the runnable process with the smallest clock (LRU on ties).
     SimProcess* next = nullptr;
-    for (const auto& p : procs_) {
-      if (p->state() != SimProcess::State::Runnable) continue;
-      if (next == nullptr || p->clock_ < next->clock_ ||
-          (p->clock_ == next->clock_ &&
-           last_dispatch_[p->id()] < last_dispatch_[next->id()])) {
-        next = p.get();
+    for (;;) {
+      // Pick the runnable process with the smallest clock (LRU on ties).
+      next = nullptr;
+      for (const auto& p : procs_) {
+        if (p->state() != SimProcess::State::Runnable) continue;
+        if (next == nullptr || p->clock_ < next->clock_ ||
+            (p->clock_ == next->clock_ &&
+             last_dispatch_[p->id()] < last_dispatch_[next->id()])) {
+          next = p.get();
+        }
       }
-    }
-    const Time tmin = next != nullptr ? next->clock_ : kInfinity;
+      const Time tmin = next != nullptr ? next->clock_ : kInfinity;
 
-    // Timers due at or before the dispatch time may wake blocked processes
-    // with smaller clocks; fire them and re-evaluate.
-    if (!timers_.empty() && timers_.top().when <= tmin) {
+      // Timers due at or before the dispatch time may wake blocked
+      // processes with smaller clocks; fire them and re-evaluate.
+      if (timers_.empty() || timers_.top().when > tmin) break;
       fire_timers_until(timers_.top().when);
-      continue;
     }
 
     if (next == nullptr) {

@@ -50,14 +50,15 @@ enum class ExternalIdle {
 /// Hook a sharded fabric installs on each shard's scheduler so the run loop
 /// can (a) ingest cross-shard traffic and (b) distinguish "this shard is
 /// idle" from "the whole simulation is done".  All methods are invoked on
-/// the scheduler's own thread only.
+/// the scheduler's own thread, or on the thread of the process it has
+/// dispatched (drain() only); the baton guarantees the two never overlap.
 class ExternalSource {
  public:
   virtual ~ExternalSource() = default;
 
   /// Deliver pending external traffic into local mailboxes/timers.  Called
-  /// at the top of every scheduler iteration.  Returns true if anything was
-  /// delivered.
+  /// at the top of every scheduler iteration and whenever the dispatched
+  /// process advances its clock.  Returns true if anything was delivered.
   virtual bool drain() = 0;
 
   /// Called when the shard has no runnable process and no pending timer.
@@ -135,6 +136,11 @@ class Scheduler {
 
   /// Fire all timers with when <= t (wakes blocked targets).
   void fire_timers_until(Time t);
+
+  /// Deliver pending cross-shard traffic (sharded runs; no-op otherwise).
+  void drain_external() {
+    if (external_ != nullptr) external_->drain();
+  }
 
   /// Horizon for a process about to be dispatched.
   Time horizon_for(const SimProcess& p) const;

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "nexus/runtime.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/modules.hpp"
 
 namespace {
 
@@ -99,52 +99,6 @@ TEST(Modules, Aal5BeatsTcpWhenLoaded) {
   });
 }
 
-TEST(Modules, SecureTamperDetectedOnDelivery) {
-  // Corrupt a sealed payload in flight by poking the mailbox directly; the
-  // receiving module must reject it.
-  RuntimeOptions opts = opts_with({"local", "secure"},
-                                  simnet::Topology::single_partition(2));
-  Runtime rt(opts);
-  EXPECT_THROW(
-      rt.run([&](Context& ctx) {
-        if (ctx.id() == 0) {
-          std::uint64_t done = 0;
-          ctx.register_handler("secret", [&](Context&, Endpoint&,
-                                             util::UnpackBuffer&) { ++done; });
-          ctx.wait_count(done, 1);
-          return;
-        }
-        Startpoint sp = ctx.world_startpoint(0);
-        sp.force_method("secure");
-        util::PackBuffer pb;
-        pb.put_string("attack at dawn");
-        ctx.rsr(sp, "secret", pb);
-        // Intercept in flight and flip a ciphertext bit.
-        auto& box = ctx.runtime().sim()->host(0).box("secure");
-        // (Test-only surgery: pull, corrupt, repost.)
-        auto stolen = box.poll(simnet::kInfinity / 2);
-        ASSERT_TRUE(stolen.has_value());
-        // Payload buffers are immutable; tampering means replacing the
-        // shared buffer with a corrupted copy.
-        util::Bytes tampered = stolen->payload.to_bytes();
-        tampered[3] ^= 0x40;
-        stolen->payload = std::move(tampered);
-        box.post(ctx.now() + simnet::kMs, std::move(*stolen));
-      }),
-      util::MethodError);
-}
-
-TEST(Modules, McastToEmptyGroupThrows) {
-  Runtime rt(opts_with({"local", "mcast"},
-                       simnet::Topology::single_partition(2)));
-  EXPECT_THROW(rt.run([&](Context& ctx) {
-                 if (ctx.id() != 0) return;
-                 Startpoint sp = proto::multicast_startpoint(ctx, 99);
-                 ctx.rsr(sp, "x");
-               }),
-               util::MethodError);
-}
-
 TEST(Modules, McastRequiresModuleLoaded) {
   // A context without the mcast module can neither build a group
   // startpoint nor join a group with a foreign endpoint.
@@ -184,10 +138,10 @@ TEST(Modules, RegistryRejectsUnknownAndListsNames) {
 /// A user-defined module: "pigeon" -- slow, but reaches everywhere.  This
 /// exercises the extension path the paper emphasizes: new methods slot in
 /// without touching the core.
-class PigeonModule final : public proto::SimModuleBase {
+class PigeonModule final : public proto::WireModule {
  public:
   explicit PigeonModule(Context& ctx)
-      : SimModuleBase(ctx, "pigeon",
+      : WireModule(ctx, "pigeon",
                       proto::LinkCosts{/*latency=*/50 * simnet::kMs,
                                        /*poll=*/5 * simnet::kUs,
                                        /*send_cpu=*/10 * simnet::kUs,
@@ -225,21 +179,6 @@ TEST(Modules, CustomModuleEndToEnd) {
         EXPECT_EQ(sp.selected_method(), "pigeon");
       }});
   EXPECT_GE(delivered, 50 * simnet::kMs);  // the pigeon took its time
-}
-
-TEST(Modules, UdpDropCounterExposed) {
-  RuntimeOptions opts = opts_with({"local", "udp"},
-                                  simnet::Topology::single_partition(2));
-  opts.costs.udp_drop_prob = 1.0;  // drop everything
-  Runtime rt(opts);
-  rt.run([&](Context& ctx) {
-    if (ctx.id() != 1) return;
-    Startpoint sp = ctx.world_startpoint(0);
-    for (int i = 0; i < 10; ++i) ctx.rsr(sp, "void");
-    auto* udp = dynamic_cast<proto::UdpSimModule*>(ctx.module("udp"));
-    ASSERT_NE(udp, nullptr);
-    EXPECT_EQ(udp->dropped(), 10u);
-  });
 }
 
 }  // namespace

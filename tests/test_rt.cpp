@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "nexus/runtime.hpp"
-#include "proto/rt_modules.hpp"
-#include "proto/sim_modules.hpp"
 
 namespace {
 
@@ -182,88 +180,6 @@ TEST(Realtime, SimOnlyModulesRejected) {
   opts.modules = {"local", "myrinet"};  // myrinet has no realtime variant
   Runtime rt(opts);
   EXPECT_THROW(rt.run([](Context&) {}), util::MethodError);
-}
-
-TEST(Realtime, WrapperMethodsRoundtrip) {
-  RuntimeOptions opts = rt_opts(simnet::Topology::two_partitions(1, 1));
-  opts.modules = {"local", "mpl", "tcp", "secure", "zrle"};
-  Runtime rt(opts);
-  std::string via_secure, via_zrle;
-  rt.run(std::vector<std::function<void(Context&)>>{
-      [&](Context& ctx) {
-        std::uint64_t done = 0;
-        ctx.register_handler("s", [&](Context&, Endpoint&,
-                                      util::UnpackBuffer& ub) {
-          via_secure = ub.get_string();
-          ++done;
-        });
-        ctx.register_handler("z", [&](Context&, Endpoint&,
-                                      util::UnpackBuffer& ub) {
-          via_zrle = ub.get_string();
-          ++done;
-        });
-        ctx.wait_count(done, 2);
-      },
-      [&](Context& ctx) {
-        Startpoint sec = ctx.world_startpoint(0);
-        sec.force_method("secure");
-        util::PackBuffer a;
-        a.put_string("sealed-for-transit");
-        ctx.rsr(sec, "s", a);
-
-        Startpoint zip = ctx.world_startpoint(0);
-        zip.force_method("zrle");
-        util::PackBuffer b;
-        b.put_string("compressed-for-transit");
-        ctx.rsr(zip, "z", b);
-      }});
-  EXPECT_EQ(via_secure, "sealed-for-transit");
-  EXPECT_EQ(via_zrle, "compressed-for-transit");
-}
-
-TEST(Realtime, MulticastFansOut) {
-  RuntimeOptions opts = rt_opts(simnet::Topology::single_partition(4));
-  opts.modules = {"local", "mpl", "tcp", "mcast"};
-  Runtime rt(opts);
-  std::atomic<int> hits{0};
-  std::atomic<int> joined{0};
-  rt.run([&](Context& ctx) {
-    if (ctx.id() == 0) {
-      while (joined.load() < 3) std::this_thread::yield();
-      Startpoint group = nexus::proto::multicast_startpoint(ctx, 11);
-      ctx.rsr(group, "update");
-      return;
-    }
-    std::uint64_t done = 0;
-    Endpoint& ep = ctx.create_endpoint();
-    ctx.register_handler("update",
-                         [&](Context&, Endpoint&, util::UnpackBuffer&) {
-                           hits.fetch_add(1);
-                           ++done;
-                         });
-    nexus::proto::multicast_join(ctx, 11, ep);
-    joined.fetch_add(1);
-    ctx.wait_count(done, 1);
-  });
-  EXPECT_EQ(hits.load(), 3);
-}
-
-TEST(Realtime, UdpDropsForReal) {
-  RuntimeOptions opts = rt_opts(simnet::Topology::single_partition(2));
-  opts.modules = {"local", "mpl", "tcp", "udp"};
-  opts.costs.udp_drop_prob = 1.0;  // drop everything (deterministic)
-  Runtime rt(opts);
-  rt.run(std::vector<std::function<void(Context&)>>{
-      [&](Context&) {},
-      [&](Context& ctx) {
-        Startpoint sp = ctx.world_startpoint(0);
-        sp.force_method("udp");
-        for (int i = 0; i < 5; ++i) ctx.rsr(sp, "void");
-        auto* udp = dynamic_cast<nexus::proto::RtUdpModule*>(
-            ctx.module("udp"));
-        ASSERT_NE(udp, nullptr);
-        EXPECT_EQ(udp->dropped(), 5u);
-      }});
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -23,7 +24,7 @@
 #include "fixture_runtime.hpp"
 #include "nexus/runtime.hpp"
 #include "proto/reliable.hpp"
-#include "proto/sim_modules.hpp"
+#include "proto/modules.hpp"
 #include "util/pack.hpp"
 
 namespace {
@@ -247,6 +248,44 @@ TEST(ShardedRuntime, ReliableExactlyOnceAcrossShards) {
       EXPECT_EQ(seen[src][i], i) << "sender " << src;  // in-order, no dups
     }
   }
+}
+
+// A context that computes without ever blocking still receives cross-shard
+// traffic: it is alone on its shard, so it never hands the baton back, and
+// only the drain on its own clock advances lets the reply reach its
+// mailbox.  Bounded in wall time so a regression fails instead of spinning.
+TEST(ShardedRuntime, SpinningContextSeesCrossShardReply) {
+  RuntimeOptions opts = sim_opts(simnet::Topology::single_partition(2));
+  opts.threads = 2;
+  Runtime rt(opts);
+  bool timed_out = false;
+
+  rt.run([&](Context& ctx) {
+    if (ctx.id() == 0) {
+      std::uint64_t pings = 0;
+      register_counter(ctx, "ping", pings);
+      ctx.wait_count(pings, 1);
+      Startpoint caller = ctx.world_startpoint(1);
+      ctx.rsr(caller, "pong");
+      return;
+    }
+    bool got = false;
+    ctx.register_handler(
+        "pong", [&](Context&, Endpoint&, util::UnpackBuffer&) { got = true; });
+    Startpoint server = ctx.world_startpoint(0);
+    ctx.rsr(server, "ping");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!got) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        break;
+      }
+      ctx.compute_with_polling(simnet::kMs, 100 * simnet::kUs);
+    }
+  });
+
+  EXPECT_FALSE(timed_out) << "the reply never reached the spinning context";
 }
 
 // Identical workload at threads=1 and threads=4 must deliver identical

@@ -18,8 +18,8 @@ RuntimeOptions stream_opts(std::size_t n, std::int64_t mtu = 0) {
   return opts;
 }
 
-proto::StreamSimModule* stream_of(Context& ctx) {
-  return dynamic_cast<proto::StreamSimModule*>(ctx.module("stream"));
+proto::StreamModule* stream_of(Context& ctx) {
+  return dynamic_cast<proto::StreamModule*>(ctx.module("stream"));
 }
 
 TEST(Stream, LargePayloadRoundtripIntact) {
@@ -185,6 +185,37 @@ TEST(Stream, TransferTimeScalesWithFragmentPipeline) {
   EXPECT_GE(delivered, min_wire);
   // And not absurdly slow: under 3x the ideal.
   EXPECT_LE(delivered, 3 * min_wire);
+}
+
+TEST(Stream, FragmentsReassembleAcrossAClosingDelayWindow) {
+  // Each fragment consults the fault plan at its own send time, so a delay
+  // window that closes mid-message makes the later fragments overtake the
+  // earlier ones.  Reassembly must accept any order within a stream.
+  RuntimeOptions opts = stream_opts(2, 1024);
+  opts.faults.delay("stream", 50 * simnet::kMs, 0, 100 * simnet::kUs);
+  Runtime rt(opts);
+  util::Bytes original(16 * 1024, 0);
+  util::Rng rng(5);
+  for (auto& b : original) b = static_cast<std::uint8_t>(rng.next());
+  util::Bytes got;
+  rt.run(std::vector<std::function<void(Context&)>>{
+      [&](Context& ctx) {
+        std::uint64_t done = 0;
+        ctx.register_handler("blob",
+                             [&](Context&, Endpoint&, util::UnpackBuffer& ub) {
+                               got = ub.get_bytes();
+                               ++done;
+                             });
+        ctx.wait_count(done, 1);
+      },
+      [&](Context& ctx) {
+        Startpoint sp = ctx.world_startpoint(0);
+        sp.force_method("stream");
+        util::PackBuffer pb;
+        pb.put_bytes(original);
+        ctx.rsr(sp, "blob", pb);
+      }});
+  EXPECT_EQ(got, original);
 }
 
 }  // namespace
