@@ -58,7 +58,7 @@ int main() {
   opts.threads = 1;
 
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();  // the forward-hop count reads the spans
 
   std::atomic<bool> drained{false};
   std::atomic<bool> all_done{false};
@@ -136,7 +136,8 @@ int main() {
         all_done.store(true, std::memory_order_release);
       }});
 
-  const auto forwards = rt.trace().count(simnet::TraceKind::Forward, "mpl");
+  const auto forwards =
+      rt.telemetry().tracer().count(telemetry::Phase::Forward, "mpl");
   std::printf("gateway incarnation %u, %llu mpl forward hops recorded\n",
               gateway_incarnation,
               static_cast<unsigned long long>(forwards));

@@ -28,15 +28,9 @@ struct Context::BlockingPoller {
     thread = std::thread([this] {
       while (auto pkt = module->blocking_poll()) {
         std::lock_guard<std::recursive_mutex> lock(*ctx->rt_mutex_);
-        if (pkt->corrupted) {
-          // Receiver-side quarantine: a fault rule damaged the packet in
-          // flight; never dispatch it.
-          module->counters().recv_corrupt += 1;
-          continue;
-        }
-        module->counters().recvs += 1;
-        module->counters().bytes_received += pkt->wire_size();
-        ctx->deliver(std::move(*pkt), module);
+        // Receiver-side quarantine: a packet a fault rule damaged in
+        // flight is counted but never dispatched.
+        if (module->accept_recv(*pkt)) ctx->deliver(std::move(*pkt), module);
       }
     });
   }
@@ -65,6 +59,7 @@ Context::Context(Runtime& runtime, ContextId id,
                           runtime.options().seed ^ (0x48ea17ull * (id_ + 1)));
   if (!clock_->simulated()) {
     rt_mutex_ = std::make_unique<std::recursive_mutex>();
+    engine_->set_predicate_lock(rt_mutex_.get());
   }
   // Adaptive transport engine (docs/ARCHITECTURE.md §11): the cost model is
   // always constructed (enquiries may inspect it) but only fed while
@@ -465,22 +460,10 @@ SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
   pkt.sent_at = now();
   CommModule& m = link.conn->module();
   const SendResult r = m.send(*link.conn, std::move(pkt));
-  m.counters().sends += 1;
-  if (!r.ok()) {
-    m.counters().send_errors += 1;
-    return r;
-  }
-  m.counters().bytes_sent += r.wire;
-  if (tele_->metrics().enabled() && m.metrics() != nullptr) {
-    m.metrics()->send_bytes.add(r.wire);
-  }
-  if (observing()) {
+  m.count_send(r);
+  if (r.ok() && observing()) {
     observe({now(), span, id_, telemetry::Phase::Send, m.trace_label(),
              r.wire, link.context, 0, trace});
-  }
-  if (runtime_->trace().enabled()) {
-    runtime_->trace().record({now(), id_, simnet::TraceKind::Send,
-                              std::string(m.name()), r.wire, ""});
   }
   return r;
 }
@@ -983,10 +966,6 @@ void Context::deliver(Packet pkt, CommModule* via) {
     observe({now(), pkt.span, id_, telemetry::Phase::Dispatch,
              entry.trace_label, pkt.payload.size(), pkt.src, 0, pkt.trace});
   }
-  if (runtime_->trace().enabled()) {
-    runtime_->trace().record({now(), id_, simnet::TraceKind::Dispatch,
-                              entry.name, pkt.payload.size(), ""});
-  }
   const telemetry::SpanId span = pkt.span;
   const std::uint64_t trace = pkt.trace;
   const std::uint16_t handler_label = entry.trace_label;
@@ -1101,27 +1080,18 @@ void Context::forward(Packet pkt) {
     // copy) because send() consumes its argument even when delivery fails.
     Packet attempt = pkt;
     const SendResult r = m.send(*conn, std::move(attempt));
-    m.counters().sends += 1;
+    m.count_send(r);
     if (r.ok()) {
-      m.counters().bytes_sent += r.wire;
       if (!health_.empty()) {
         note_send_success(intern_method(m.name()), via, m.trace_label(), span,
                           trace);
-      }
-      if (tele_->metrics().enabled() && m.metrics() != nullptr) {
-        m.metrics()->send_bytes.add(r.wire);
       }
       if (observing()) {
         observe({now(), span, id_, telemetry::Phase::Forward, m.trace_label(),
                  r.wire, dst, parent, trace});
       }
-      if (runtime_->trace().enabled()) {
-        runtime_->trace().record({now(), id_, simnet::TraceKind::Forward,
-                                  std::string(m.name()), r.wire, ""});
-      }
       return;
     }
-    m.counters().send_errors += 1;
     ++failures;
     const HealthTracker::FailAction action = note_send_failure(
         intern_method(m.name()), via, m.trace_label(), r.status, span, trace);
@@ -1240,26 +1210,21 @@ void Context::probe_method(const CommDescriptor& d) {
   clock_->advance(costs_.rsr_send_overhead);
   pkt.sent_at = now();
   const SendResult r = m->send(*conn, std::move(pkt));
-  m->counters().sends += 1;
+  m->count_send(r);
   ++cmetrics_->adapt_probes;
   if (observing()) {
     observe({now(), 0, id_, telemetry::Phase::AdaptProbe, m->trace_label(),
              r.wire, d.context});
   }
+  if (health_.empty()) return;
   if (r.ok()) {
-    m->counters().bytes_sent += r.wire;
-    if (!health_.empty()) {
-      note_send_success(intern_method(d.method), d.context, m->trace_label());
-    }
+    note_send_success(intern_method(d.method), d.context, m->trace_label());
   } else {
-    m->counters().send_errors += 1;
-    if (!health_.empty()) {
-      // A failed probe is a real delivery failure: it walks the method
-      // towards quarantine exactly like an application send would, which
-      // is what keeps a dead method from being re-probed at full rate.
-      note_send_failure(intern_method(d.method), d.context, m->trace_label(),
-                        r.status);
-    }
+    // A failed probe is a real delivery failure: it walks the method
+    // towards quarantine exactly like an application send would, which
+    // is what keeps a dead method from being re-probed at full rate.
+    note_send_failure(intern_method(d.method), d.context, m->trace_label(),
+                      r.status);
   }
 }
 
@@ -1344,7 +1309,7 @@ const CommModule* Context::module(std::string_view name) const {
   return nullptr;
 }
 
-const util::MethodCounters& Context::method_counters(
+const telemetry::MethodCounters& Context::method_counters(
     std::string_view name) const {
   const CommModule* m = module(name);
   if (m == nullptr) {
@@ -1446,7 +1411,7 @@ void Context::add_module(std::unique_ptr<CommModule> m) {
   }
   // Rebind the module's counters into the registry so the enquiry interface
   // and the module's own accounting share one set of numbers.
-  m->bind_metrics(tele_->metrics().method(id_, m->name()));
+  m->bind_metrics(tele_->metrics(), tele_->metrics().method(id_, m->name()));
   m->set_trace_label(tele_->tracer().intern(m->name()));
   modules_.push_back(std::move(m));
 }

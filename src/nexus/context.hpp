@@ -246,7 +246,8 @@ class Context {
   std::vector<std::string> methods() const;
   CommModule* module(std::string_view name);
   const CommModule* module(std::string_view name) const;
-  const util::MethodCounters& method_counters(std::string_view name) const;
+  const telemetry::MethodCounters& method_counters(
+      std::string_view name) const;
   const std::vector<SelectionRecord>& selection_log() const noexcept {
     return selection_log_;
   }

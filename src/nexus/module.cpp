@@ -1,15 +1,16 @@
 #include "nexus/module.hpp"
 
-#include "nexus/telemetry/metrics.hpp"
 #include "util/error.hpp"
 
 namespace nexus {
 
-void CommModule::bind_metrics(telemetry::MethodMetrics& mm) noexcept {
+void CommModule::bind_metrics(const telemetry::MetricsRegistry& registry,
+                              telemetry::MethodMetrics& mm) noexcept {
   mm.counters.merge(*counters_);
-  own_counters_ = util::MethodCounters{};
+  own_counters_ = telemetry::MethodCounters{};
   counters_ = &mm.counters;
   metrics_ = &mm;
+  registry_ = &registry;
 }
 
 ModuleRegistry& ModuleRegistry::global() {

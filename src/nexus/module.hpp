@@ -19,14 +19,10 @@
 #include <vector>
 
 #include "nexus/descriptor.hpp"
+#include "nexus/telemetry/metrics.hpp"
 #include "nexus/types.hpp"
-#include "util/stats.hpp"
 
 namespace nexus {
-
-namespace telemetry {
-struct MethodMetrics;
-}
 
 class Context;
 class CommModule;
@@ -151,14 +147,52 @@ class CommModule {
   /// default; the owning context rebinds them into the runtime's
   /// MetricsRegistry (bind_metrics) so one registry holds every context's
   /// counters and histograms.
-  util::MethodCounters& counters() noexcept { return *counters_; }
-  const util::MethodCounters& counters() const noexcept { return *counters_; }
+  telemetry::MethodCounters& counters() noexcept { return *counters_; }
+  const telemetry::MethodCounters& counters() const noexcept {
+    return *counters_;
+  }
 
   /// Rebind this module's counters into registry-owned storage and attach
   /// the per-method histograms.  Any counts accumulated before the rebind
   /// are merged into the new storage.
-  void bind_metrics(telemetry::MethodMetrics& mm) noexcept;
+  void bind_metrics(const telemetry::MetricsRegistry& registry,
+                    telemetry::MethodMetrics& mm) noexcept;
   telemetry::MethodMetrics* metrics() const noexcept { return metrics_; }
+  /// Whether metrics() is bound and the registry records histograms.
+  bool histograms_on() const noexcept {
+    return metrics_ != nullptr && registry_->enabled();
+  }
+
+  /// Send accounting, the one path every sender reports through: one
+  /// attempt's verdict counts a send, then a send error or the wire bytes
+  /// (counter and histogram).
+  void count_send(const SendResult& r) noexcept {
+    counters_->sends += 1;
+    if (!r.ok()) {
+      counters_->send_errors += 1;
+      return;
+    }
+    counters_->bytes_sent += r.wire;
+    if (histograms_on()) metrics_->send_bytes.add(r.wire);
+  }
+  /// Receive accounting, the one path every receiver reports through: a
+  /// packet that crossed this module's wire.
+  void count_recv(const Packet& pkt) noexcept {
+    counters_->recvs += 1;
+    counters_->bytes_received += pkt.wire_size();
+    if (histograms_on()) metrics_->recv_bytes.add(pkt.wire_size());
+  }
+  /// count_recv for a packet about to be dispatched: one a fault damaged in
+  /// flight is counted as recv_corrupt instead, and must not be dispatched
+  /// (returns false).
+  bool accept_recv(const Packet& pkt) noexcept {
+    if (pkt.corrupted) {
+      counters_->recv_corrupt += 1;
+      return false;
+    }
+    count_recv(pkt);
+    return true;
+  }
 
   /// Interned tracer label for this module's name (assigned by the owning
   /// context so trace records avoid string lookups).
@@ -174,9 +208,10 @@ class CommModule {
   }
 
  private:
-  util::MethodCounters own_counters_;
-  util::MethodCounters* counters_ = &own_counters_;
+  telemetry::MethodCounters own_counters_;
+  telemetry::MethodCounters* counters_ = &own_counters_;
   telemetry::MethodMetrics* metrics_ = nullptr;
+  const telemetry::MetricsRegistry* registry_ = nullptr;
   std::uint16_t trace_label_ = 0;
   mutable std::uint64_t name_hash_ = 0;
 };

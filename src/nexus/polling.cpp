@@ -142,19 +142,13 @@ bool PollingEngine::poll_once() {
     std::uint64_t drained = 0;
     while (auto pkt = e.module->poll()) {
       hit = true;
-      if (pkt->corrupted) {
-        // Receiver-side quarantine: a fault rule damaged this packet in
-        // flight.  It counts as a poll hit (the wire delivered bytes) but
-        // is never dispatched.
-        e.module->counters().poll_hits += 1;
-        e.module->counters().recv_corrupt += 1;
-        continue;
-      }
+      // Receiver-side quarantine: a packet a fault rule damaged in flight
+      // counts as a poll hit (the wire delivered bytes) but is never
+      // dispatched.
+      e.module->counters().poll_hits += 1;
+      if (!e.module->accept_recv(*pkt)) continue;
       delivered = true;
       ++drained;
-      e.module->counters().poll_hits += 1;
-      e.module->counters().recvs += 1;
-      e.module->counters().bytes_received += pkt->wire_size();
       // PollHit is transport detail, sampled only when span tracing is on
       // (the always-on flight path keeps to the causal/failure events).
       if (drained == 1 && tracer_ != nullptr && tracer_->enabled()) {
@@ -164,9 +158,6 @@ bool PollingEngine::poll_once() {
                                   0, 0, pkt->trace};
         if (flight_ != nullptr && flight_->enabled()) flight_->record(ev);
         tracer_->record(ev);
-      }
-      if (metrics_on && e.module->metrics() != nullptr) {
-        e.module->metrics()->recv_bytes.add(pkt->wire_size());
       }
       sink_(std::move(*pkt), e.module);
     }
@@ -184,6 +175,12 @@ bool PollingEngine::poll_once() {
     }
   }
   return delivered;
+}
+
+bool PollingEngine::uniform_skip() const {
+  return std::none_of(entries_.begin(), entries_.end(), [](const Entry& e) {
+    return e.enabled && e.skip != 1;
+  });
 }
 
 Time PollingEngine::full_iteration_cost() const {
@@ -213,14 +210,7 @@ std::uint64_t PollingEngine::detection_steps(const Entry& target,
   // Fast path: with every enabled method at skip 1 (the common case) each
   // iteration costs the same, so the detecting slot is a division instead
   // of a binary search over cost_of_next.
-  bool uniform = true;
-  for (const Entry& e : entries_) {
-    if (e.enabled && e.skip != 1) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
+  if (uniform_skip()) {
     Time head = per_iteration_overhead_;
     for (const Entry& e : entries_) {
       if (!e.enabled) continue;
@@ -282,16 +272,19 @@ std::uint64_t PollingEngine::detection_steps(const Entry& target,
   return n_of(hi);
 }
 
+void PollingEngine::credit_iterations(std::uint64_t n) {
+  for (Entry& e : entries_) {
+    if (!e.enabled) continue;
+    e.module->counters().polls +=
+        (iteration_ + n) / e.skip - iteration_ / e.skip;
+  }
+  iteration_ += n;
+}
+
 void PollingEngine::bulk_advance(std::uint64_t n) {
   if (n == 0) return;
   const Time dt = cost_of_next(n);
-  for (Entry& e : entries_) {
-    if (!e.enabled) continue;
-    const std::uint64_t polls =
-        (iteration_ + n) / e.skip - iteration_ / e.skip;
-    e.module->counters().polls += polls;
-  }
-  iteration_ += n;
+  credit_iterations(n);
   clock_->advance(dt);
 }
 
@@ -317,15 +310,8 @@ bool PollingEngine::fast_forward() {
 
 void PollingEngine::account_idle(Time dt) {
   if (dt <= 0 || cost_of_next(1) <= 0 || cost_of_next(1) > dt) return;
-  bool uniform = true;
-  for (const Entry& e : entries_) {
-    if (e.enabled && e.skip != 1) {
-      uniform = false;
-      break;
-    }
-  }
   std::uint64_t lo = 1, hi = 2;
-  if (uniform) {
+  if (uniform_skip()) {
     // Constant per-iteration cost: the iteration count is a division.
     lo = static_cast<std::uint64_t>(dt / full_iteration_cost());
   } else {
@@ -342,18 +328,19 @@ void PollingEngine::account_idle(Time dt) {
       }
     }
   }
-  for (Entry& e : entries_) {
-    if (!e.enabled) continue;
-    e.module->counters().polls +=
-        (iteration_ + lo) / e.skip - iteration_ / e.skip;
-  }
-  iteration_ += lo;
+  credit_iterations(lo);
+}
+
+bool PollingEngine::satisfied(const std::function<bool()>& done) const {
+  if (predicate_lock_ == nullptr) return done();
+  std::lock_guard<std::recursive_mutex> lock(*predicate_lock_);
+  return done();
 }
 
 void PollingEngine::wait(const std::function<bool()>& done) {
   for (;;) {
     const bool delivered = poll_once();
-    if (done()) return;
+    if (satisfied(done)) return;
     if (delivered) continue;
     if (clock_->simulated()) {
       if (!fast_forward()) {

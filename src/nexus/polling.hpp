@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,9 +32,7 @@ namespace telemetry {
 class Telemetry;
 class Tracer;
 class FlightRecorder;
-class MetricsRegistry;
 class MetricsExporter;
-struct ContextMetrics;
 }
 
 class PollingEngine {
@@ -62,6 +61,13 @@ class PollingEngine {
   /// periodic snapshot (one relaxed atomic load when no sample is due).
   void set_exporter(telemetry::MetricsExporter* exporter) {
     exporter_ = exporter;
+  }
+
+  /// Realtime fabric: the context lock under which blocking-poller threads
+  /// run handlers.  wait() evaluates its predicate under it, so state those
+  /// handlers write is read race-free.
+  void set_predicate_lock(std::recursive_mutex* lock) {
+    predicate_lock_ = lock;
   }
 
   /// Per-method skip_poll control.
@@ -132,11 +138,22 @@ class PollingEngine {
   /// after absolute time `arrival`.  Returns n.
   std::uint64_t detection_steps(const Entry& e, Time arrival) const;
 
+  /// True when every enabled method is polled on every iteration (each
+  /// iteration then costs the same).
+  bool uniform_skip() const;
+
+  /// Count n iterations' worth of polls on every enabled method (per its
+  /// skip schedule) and move the iteration counter past them.
+  void credit_iterations(std::uint64_t n);
+
   /// Advance clock and counters through n iterations without touching the
   /// modules' queues (they are known to be empty until then); notifies
   /// modules of skipped polls so side effects (interference penalties)
   /// still apply.
   void bulk_advance(std::uint64_t n);
+
+  /// done(), under the predicate lock when one is set.
+  bool satisfied(const std::function<bool()>& done) const;
 
   /// Returns false when no module knows a pending arrival.
   bool fast_forward();
@@ -152,6 +169,7 @@ class PollingEngine {
   Time blocking_check_cost_;
   std::vector<Entry> entries_;
   std::uint64_t iteration_ = 0;
+  std::recursive_mutex* predicate_lock_ = nullptr;
 
   // Observability (see attach_telemetry).  Poll intervals are sampled as
   // the windowed mean over kPollSampleEvery iterations so the per-poll

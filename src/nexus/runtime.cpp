@@ -217,8 +217,8 @@ std::string Runtime::describe() const {
            std::to_string(opts_.topology.partition_of(id)) + "):\n";
     for (const std::string& m : ctx.methods()) {
       const telemetry::MethodMetrics* mm = snap.find_method(id, m);
-      const util::MethodCounters c =
-          mm != nullptr ? mm->counters : util::MethodCounters{};
+      const telemetry::MethodCounters c =
+          mm != nullptr ? mm->counters : telemetry::MethodCounters{};
       const PollingEngine& engine = ctx.polling_engine();
       out += "  " + m;
       if (!engine.enabled(m)) {

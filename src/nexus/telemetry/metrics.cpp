@@ -1,8 +1,10 @@
 #include "nexus/telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "nexus/telemetry/json.hpp"
+#include "util/stats.hpp"
 
 namespace nexus::telemetry {
 
@@ -78,6 +80,93 @@ const ContextMetrics* MetricsRegistry::Snapshot::find_context(
 }
 
 namespace {
+
+/// The one definition of an exported metric: a row of its scope's table.
+/// The tables drive MethodCounters::merge and every exporter below, so
+/// adding a metric costs one field plus one row.  A row sets exactly one
+/// member pointer, which makes it a counter or a histogram.  Exported
+/// names: the JSON key is `name`; the Prometheus family is
+/// `nexus_<prom, else name>`, plus `_total` for counters.  In the text dump
+/// a context counter prints on its `group` line under `label`, and the
+/// line appears when any member is non-zero; a method counter of group
+/// "head" belongs to the method's fixed head line, any other is appended
+/// to it as `name value` when non-zero.
+template <class Scope, class Counters = Scope>
+struct MetricDef {
+  std::string_view name;
+  std::string_view group = {};
+  std::string_view label = {};
+  std::uint64_t Counters::*counter = nullptr;
+  Histogram Scope::*histogram = nullptr;
+  std::string_view prom = {};
+
+  bool is_counter() const noexcept { return counter != nullptr; }
+  std::uint64_t value(const Counters& c) const noexcept { return c.*counter; }
+  const Histogram& hist(const Scope& s) const noexcept { return s.*histogram; }
+  std::string family() const {
+    return "nexus_" + std::string(prom.empty() ? name : prom) +
+           (is_counter() ? "_total" : "");
+  }
+};
+
+using MC = MethodCounters;
+using MM = MethodMetrics;
+using CM = ContextMetrics;
+
+/// Per-method metrics, in export order.
+constexpr MetricDef<MM, MC> kMethodMetrics[] = {
+    {"sends", "head", "", &MC::sends},
+    {"recvs", "head", "", &MC::recvs},
+    {"bytes_sent", "head", "", &MC::bytes_sent},
+    {"bytes_received", "head", "", &MC::bytes_received},
+    {"polls", "head", "", &MC::polls},
+    {"poll_hits", "head", "", &MC::poll_hits},
+    {"send_errors", "", "", &MC::send_errors},
+    {"recv_corrupt", "", "", &MC::recv_corrupt},
+    {"rel_retransmits", "", "", &MC::rel_retransmits},
+    {"rel_dup_drops", "", "", &MC::rel_dup_drops},
+    {"rel_acks_sent", "", "", &MC::rel_acks_sent},
+    {"rel_acks_received", "", "", &MC::rel_acks_received},
+    {"rel_epoch_rejects", "", "", &MC::rel_epoch_rejects},
+    {.name = "send_bytes", .histogram = &MM::send_bytes},
+    {.name = "recv_bytes", .histogram = &MM::recv_bytes},
+    {.name = "window_occupancy", .histogram = &MM::window_occupancy},
+};
+
+/// Per-context metrics, in export order.
+constexpr MetricDef<CM> kContextMetrics[] = {
+    {.name = "rsr_oneway_ns", .histogram = &CM::rsr_oneway_ns},
+    {.name = "handler_ns", .histogram = &CM::handler_ns},
+    {.name = "poll_interval_ns", .histogram = &CM::poll_interval_ns},
+    {.name = "poll_batch", .histogram = &CM::poll_batch},
+    {.name = "rsr_retries", .histogram = &CM::rsr_retries},
+    {"failovers", "failover", "triggered", &CM::failovers},
+    {"suspects", "failover", "suspects", &CM::suspects},
+    {"restores", "failover", "restores", &CM::restores},
+    {"adapt_switches", "adapt", "switches", &CM::adapt_switches},
+    {"adapt_reranks", "adapt", "reranks", &CM::adapt_reranks},
+    {"adapt_probes", "adapt", "probes", &CM::adapt_probes},
+    {"peer_deaths", "robust", "peer_deaths", &CM::peer_deaths},
+    {"peer_reborns", "robust", "reborns", &CM::peer_reborns},
+    {"deadletters", "robust", "deadletters", &CM::deadletters},
+    {"deadletter_drops", "robust", "dl_drops", &CM::deadletter_drops},
+    {"deadletter_redeliveries", "robust", "dl_redelivered",
+     &CM::deadletter_redeliveries},
+    {"send_errors", "robust", "send_errors", &CM::send_errors, nullptr,
+     "ctx_send_errors"},
+    {"rpc_calls", "rpc", "calls", &CM::rpc_calls},
+    {"rpc_deadline_exceeded", "rpc", "deadline_exceeded",
+     &CM::rpc_deadline_exceeded},
+    {"rpc_cancelled", "rpc", "cancelled", &CM::rpc_cancelled},
+    {"rpc_rejected", "rpc", "rejected", &CM::rpc_rejected},
+    {"rpc_peer_died", "rpc", "peer_died", &CM::rpc_peer_died},
+    {"rpc_late_replies", "rpc", "late_replies", &CM::rpc_late_replies},
+    {"rpc_bulk_pull_chunks", "rpc", "bulk_chunks", &CM::rpc_bulk_pull_chunks},
+    {"rpc_bulk_errors", "rpc", "bulk_errors", &CM::rpc_bulk_errors},
+    {.name = "rpc_call_ns", .histogram = &CM::rpc_call_ns},
+    {.name = "rpc_bulk_mb_s", .histogram = &CM::rpc_bulk_mb_s},
+};
+
 std::string hist_summary(std::string_view name, const Histogram& h) {
   if (h.count() == 0) return "";
   std::string out("    ");
@@ -113,7 +202,119 @@ std::string hist_json(const Histogram& h) {
   out += "]}";
   return out;
 }
+
+/// The context lines of the text dump: histogram summaries, and one line
+/// per counter group with any non-zero member.
+std::string context_text(const CM& cm) {
+  std::string out;
+  for (std::size_t i = 0; i < std::size(kContextMetrics); ++i) {
+    const auto& m = kContextMetrics[i];
+    if (!m.is_counter()) {
+      out += hist_summary(m.name, m.hist(cm));
+      continue;
+    }
+    if (i > 0 && kContextMetrics[i - 1].group == m.group) continue;
+    std::string line = "    " + std::string(m.group) + ":";
+    bool any = false;
+    for (std::size_t j = i; j < std::size(kContextMetrics) &&
+                            kContextMetrics[j].group == m.group;
+         ++j) {
+      const std::uint64_t v = kContextMetrics[j].value(cm);
+      any = any || v != 0;
+      line += " " + std::string(kContextMetrics[j].label) + " " +
+              std::to_string(v);
+    }
+    if (any) out += line + "\n";
+  }
+  return out;
+}
+
+/// One method's text: the fixed head line, its other non-zero counters,
+/// then its histogram summaries.
+std::string method_text(const std::string& method, const MM& mm) {
+  const MC& c = mm.counters;
+  std::string out = "  " + method + ": sent " + std::to_string(c.sends) +
+                    "/" + std::to_string(c.bytes_sent) + "B recv " +
+                    std::to_string(c.recvs) + "/" +
+                    std::to_string(c.bytes_received) + "B polls " +
+                    std::to_string(c.polls) + " hits " +
+                    std::to_string(c.poll_hits);
+  for (const auto& m : kMethodMetrics) {
+    if (!m.is_counter() || m.group == "head" || m.value(c) == 0) continue;
+    out += " " + std::string(m.name) + " " + std::to_string(m.value(c));
+  }
+  out += "\n";
+  for (const auto& m : kMethodMetrics) {
+    if (!m.is_counter()) out += hist_summary(m.name, m.hist(mm));
+  }
+  return out;
+}
+
+/// The JSON members of one scope's entry, each row in table order.
+template <class Scope, class Counters, std::size_t N>
+std::string json_fields(const MetricDef<Scope, Counters> (&table)[N],
+                        const Scope& s, const Counters& c) {
+  std::string out;
+  for (const auto& m : table) {
+    out += ",\"" + std::string(m.name) + "\":" +
+           (m.is_counter() ? std::to_string(m.value(c)) : hist_json(m.hist(s)));
+  }
+  return out;
+}
+
+/// One Prometheus histogram family member: cumulative buckets keyed by each
+/// occupied log2 bucket's inclusive upper bound, then the mandatory +Inf
+/// bucket, _sum, and _count.  `labels` is the rendered label set without
+/// braces, e.g. `context="0",method="tcp"`.
+void prom_histogram(std::string& out, const std::string& family,
+                    const std::string& labels, const Histogram& h) {
+  std::uint64_t cum = 0;
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    if (h.bucket_count(i) == 0) continue;
+    cum += h.bucket_count(i);
+    out += family + "_bucket{" + labels + ",le=\"" +
+           std::to_string(Histogram::bucket_ceil(i)) + "\"} " +
+           std::to_string(cum) + "\n";
+  }
+  out += family + "_bucket{" + labels + ",le=\"+Inf\"} " +
+         std::to_string(h.count()) + "\n";
+  out += family + "_sum{" + labels + "} " + std::to_string(h.sum()) + "\n";
+  out += family + "_count{" + labels + "} " + std::to_string(h.count()) + "\n";
+}
+
+/// `# TYPE` lines for the rows of one kind.
+template <class Table>
+void prom_types(std::string& out, const Table& table, bool counters) {
+  for (const auto& m : table) {
+    if (m.is_counter() != counters) continue;
+    out += "# TYPE " + m.family() +
+           (counters ? " counter\n" : " histogram\n");
+  }
+}
+
+/// Every series of one scope's entry, each row in table order.
+template <class Scope, class Counters, std::size_t N>
+void prom_series(std::string& out,
+                 const MetricDef<Scope, Counters> (&table)[N],
+                 const std::string& labels, const Scope& s,
+                 const Counters& c) {
+  for (const auto& m : table) {
+    if (m.is_counter()) {
+      out += m.family() + "{" + labels + "} " + std::to_string(m.value(c)) +
+             "\n";
+    } else {
+      prom_histogram(out, m.family(), labels, m.hist(s));
+    }
+  }
+}
+
 }  // namespace
+
+void MethodCounters::merge(const MethodCounters& o) noexcept {
+  for (const auto& m : kMethodMetrics) {
+    if (m.is_counter()) this->*m.counter += o.*m.counter;
+  }
+}
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -132,73 +333,10 @@ std::string MetricsRegistry::to_text() const {
       current = key.first;
       out += "context " + std::to_string(current) + ":\n";
       if (const ContextMetrics* cm = snap.find_context(current)) {
-        out += hist_summary("rsr_oneway_ns", cm->rsr_oneway_ns);
-        out += hist_summary("handler_ns", cm->handler_ns);
-        out += hist_summary("poll_interval_ns", cm->poll_interval_ns);
-        out += hist_summary("poll_batch", cm->poll_batch);
-        out += hist_summary("rsr_retries", cm->rsr_retries);
-        if (cm->failovers != 0 || cm->suspects != 0 || cm->restores != 0) {
-          out += "    failover: triggered " + std::to_string(cm->failovers) +
-                 " suspects " + std::to_string(cm->suspects) + " restores " +
-                 std::to_string(cm->restores) + "\n";
-        }
-        if (cm->adapt_switches != 0 || cm->adapt_reranks != 0 ||
-            cm->adapt_probes != 0) {
-          out += "    adapt: switches " + std::to_string(cm->adapt_switches) +
-                 " reranks " + std::to_string(cm->adapt_reranks) +
-                 " probes " + std::to_string(cm->adapt_probes) + "\n";
-        }
-        if (cm->peer_deaths != 0 || cm->peer_reborns != 0 ||
-            cm->deadletters != 0 || cm->deadletter_drops != 0 ||
-            cm->deadletter_redeliveries != 0 || cm->send_errors != 0) {
-          out += "    robust: peer_deaths " + std::to_string(cm->peer_deaths) +
-                 " reborns " + std::to_string(cm->peer_reborns) +
-                 " deadletters " + std::to_string(cm->deadletters) +
-                 " dl_drops " + std::to_string(cm->deadletter_drops) +
-                 " dl_redelivered " +
-                 std::to_string(cm->deadletter_redeliveries) +
-                 " send_errors " + std::to_string(cm->send_errors) + "\n";
-        }
-        if (cm->rpc_calls != 0 || cm->rpc_rejected != 0 ||
-            cm->rpc_bulk_pull_chunks != 0 || cm->rpc_bulk_errors != 0) {
-          out += "    rpc: calls " + std::to_string(cm->rpc_calls) +
-                 " deadline_exceeded " +
-                 std::to_string(cm->rpc_deadline_exceeded) + " cancelled " +
-                 std::to_string(cm->rpc_cancelled) + " rejected " +
-                 std::to_string(cm->rpc_rejected) + " peer_died " +
-                 std::to_string(cm->rpc_peer_died) + " late_replies " +
-                 std::to_string(cm->rpc_late_replies) + " bulk_chunks " +
-                 std::to_string(cm->rpc_bulk_pull_chunks) + " bulk_errors " +
-                 std::to_string(cm->rpc_bulk_errors) + "\n";
-        }
-        out += hist_summary("rpc_call_ns", cm->rpc_call_ns);
-        out += hist_summary("rpc_bulk_mb_s", cm->rpc_bulk_mb_s);
+        out += context_text(*cm);
       }
     }
-    const util::MethodCounters& c = mm.counters;
-    out += "  " + key.second + ": sent " + std::to_string(c.sends) + "/" +
-           std::to_string(c.bytes_sent) + "B recv " +
-           std::to_string(c.recvs) + "/" + std::to_string(c.bytes_received) +
-           "B polls " + std::to_string(c.polls) + " hits " +
-           std::to_string(c.poll_hits);
-    if (c.send_errors != 0) out += " send_errors " +
-                                   std::to_string(c.send_errors);
-    if (c.recv_corrupt != 0) out += " recv_corrupt " +
-                                    std::to_string(c.recv_corrupt);
-    if (c.rel_retransmits != 0) out += " rel_retransmits " +
-                                       std::to_string(c.rel_retransmits);
-    if (c.rel_dup_drops != 0) out += " rel_dup_drops " +
-                                     std::to_string(c.rel_dup_drops);
-    if (c.rel_acks_sent != 0) out += " rel_acks_sent " +
-                                     std::to_string(c.rel_acks_sent);
-    if (c.rel_acks_received != 0) out += " rel_acks_received " +
-                                         std::to_string(c.rel_acks_received);
-    if (c.rel_epoch_rejects != 0) out += " rel_epoch_rejects " +
-                                         std::to_string(c.rel_epoch_rejects);
-    out += "\n";
-    out += hist_summary("send_bytes", mm.send_bytes);
-    out += hist_summary("recv_bytes", mm.recv_bytes);
-    out += hist_summary("window_occupancy", mm.window_occupancy);
+    out += method_text(key.second, mm);
   }
   return out;
 }
@@ -206,201 +344,39 @@ std::string MetricsRegistry::to_text() const {
 std::string MetricsRegistry::to_json() const {
   const Snapshot snap = snapshot();
   std::string out = "{\"contexts\":[";
-  bool first_ctx = true;
+  const char* sep = "";
   for (const auto& [id, cm] : snap.contexts) {
-    if (!first_ctx) out += ",";
-    first_ctx = false;
-    out += "{\"context\":" + std::to_string(id) +
-           ",\"rsr_oneway_ns\":" + hist_json(cm.rsr_oneway_ns) +
-           ",\"handler_ns\":" + hist_json(cm.handler_ns) +
-           ",\"poll_interval_ns\":" + hist_json(cm.poll_interval_ns) +
-           ",\"poll_batch\":" + hist_json(cm.poll_batch) +
-           ",\"rsr_retries\":" + hist_json(cm.rsr_retries) +
-           ",\"failovers\":" + std::to_string(cm.failovers) +
-           ",\"suspects\":" + std::to_string(cm.suspects) +
-           ",\"restores\":" + std::to_string(cm.restores) +
-           ",\"adapt_switches\":" + std::to_string(cm.adapt_switches) +
-           ",\"adapt_reranks\":" + std::to_string(cm.adapt_reranks) +
-           ",\"adapt_probes\":" + std::to_string(cm.adapt_probes) +
-           ",\"peer_deaths\":" + std::to_string(cm.peer_deaths) +
-           ",\"peer_reborns\":" + std::to_string(cm.peer_reborns) +
-           ",\"deadletters\":" + std::to_string(cm.deadletters) +
-           ",\"deadletter_drops\":" + std::to_string(cm.deadletter_drops) +
-           ",\"deadletter_redeliveries\":" +
-           std::to_string(cm.deadletter_redeliveries) +
-           ",\"send_errors\":" + std::to_string(cm.send_errors) +
-           ",\"rpc_calls\":" + std::to_string(cm.rpc_calls) +
-           ",\"rpc_deadline_exceeded\":" +
-           std::to_string(cm.rpc_deadline_exceeded) +
-           ",\"rpc_cancelled\":" + std::to_string(cm.rpc_cancelled) +
-           ",\"rpc_rejected\":" + std::to_string(cm.rpc_rejected) +
-           ",\"rpc_peer_died\":" + std::to_string(cm.rpc_peer_died) +
-           ",\"rpc_late_replies\":" + std::to_string(cm.rpc_late_replies) +
-           ",\"rpc_bulk_pull_chunks\":" +
-           std::to_string(cm.rpc_bulk_pull_chunks) +
-           ",\"rpc_bulk_errors\":" + std::to_string(cm.rpc_bulk_errors) +
-           ",\"rpc_call_ns\":" + hist_json(cm.rpc_call_ns) +
-           ",\"rpc_bulk_mb_s\":" + hist_json(cm.rpc_bulk_mb_s) + "}";
+    out += sep + ("{\"context\":" + std::to_string(id)) +
+           json_fields(kContextMetrics, cm, cm) + "}";
+    sep = ",";
   }
   out += "],\"methods\":[";
-  bool first_m = true;
+  sep = "";
   for (const auto& [key, mm] : snap.methods) {
-    if (!first_m) out += ",";
-    first_m = false;
-    const util::MethodCounters& c = mm.counters;
-    out += "{\"context\":" + std::to_string(key.first) +
+    out += sep + ("{\"context\":" + std::to_string(key.first)) +
            ",\"method\":" + json_quote(key.second) +
-           ",\"sends\":" + std::to_string(c.sends) +
-           ",\"recvs\":" + std::to_string(c.recvs) +
-           ",\"bytes_sent\":" + std::to_string(c.bytes_sent) +
-           ",\"bytes_received\":" + std::to_string(c.bytes_received) +
-           ",\"polls\":" + std::to_string(c.polls) +
-           ",\"poll_hits\":" + std::to_string(c.poll_hits) +
-           ",\"send_errors\":" + std::to_string(c.send_errors) +
-           ",\"recv_corrupt\":" + std::to_string(c.recv_corrupt) +
-           ",\"rel_retransmits\":" + std::to_string(c.rel_retransmits) +
-           ",\"rel_dup_drops\":" + std::to_string(c.rel_dup_drops) +
-           ",\"rel_acks_sent\":" + std::to_string(c.rel_acks_sent) +
-           ",\"rel_acks_received\":" + std::to_string(c.rel_acks_received) +
-           ",\"rel_epoch_rejects\":" + std::to_string(c.rel_epoch_rejects) +
-           ",\"send_bytes\":" + hist_json(mm.send_bytes) +
-           ",\"recv_bytes\":" + hist_json(mm.recv_bytes) +
-           ",\"window_occupancy\":" + hist_json(mm.window_occupancy) + "}";
+           json_fields(kMethodMetrics, mm, mm.counters) + "}";
+    sep = ",";
   }
-  out += "]}";
-  return out;
+  return out + "]}";
 }
-
-namespace {
-
-/// One Prometheus histogram family member: cumulative buckets keyed by each
-/// occupied log2 bucket's inclusive upper bound, then the mandatory +Inf
-/// bucket, _sum, and _count.  `labels` is the rendered label set without
-/// braces, e.g. `context="0",method="tcp"`.
-void prom_histogram(std::string& out, std::string_view family,
-                    const std::string& labels, const Histogram& h) {
-  std::uint64_t cum = 0;
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    if (h.bucket_count(i) == 0) continue;
-    cum += h.bucket_count(i);
-    out += std::string(family) + "_bucket{" + labels +
-           ",le=\"" + std::to_string(Histogram::bucket_ceil(i)) + "\"} " +
-           std::to_string(cum) + "\n";
-  }
-  out += std::string(family) + "_bucket{" + labels + ",le=\"+Inf\"} " +
-         std::to_string(h.count()) + "\n";
-  out += std::string(family) + "_sum{" + labels + "} " +
-         std::to_string(h.sum()) + "\n";
-  out += std::string(family) + "_count{" + labels + "} " +
-         std::to_string(h.count()) + "\n";
-}
-
-void prom_counter(std::string& out, std::string_view family,
-                  const std::string& labels, std::uint64_t v) {
-  out += std::string(family) + "{" + labels + "} " + std::to_string(v) + "\n";
-}
-
-}  // namespace
 
 std::string MetricsRegistry::to_prometheus() const {
   const Snapshot snap = snapshot();
   std::string out;
-
-  static constexpr const char* kCtxHists[] = {
-      "nexus_rsr_oneway_ns", "nexus_handler_ns", "nexus_poll_interval_ns",
-      "nexus_poll_batch", "nexus_rsr_retries", "nexus_rpc_call_ns",
-      "nexus_rpc_bulk_mb_s"};
-  for (const char* f : kCtxHists) {
-    out += std::string("# TYPE ") + f + " histogram\n";
-  }
-  static constexpr const char* kCtxCounters[] = {
-      "nexus_failovers_total", "nexus_suspects_total", "nexus_restores_total",
-      "nexus_adapt_switches_total", "nexus_adapt_reranks_total",
-      "nexus_adapt_probes_total", "nexus_peer_deaths_total",
-      "nexus_peer_reborns_total", "nexus_deadletters_total",
-      "nexus_deadletter_drops_total", "nexus_deadletter_redeliveries_total",
-      "nexus_ctx_send_errors_total", "nexus_rpc_calls_total",
-      "nexus_rpc_deadline_exceeded_total", "nexus_rpc_cancelled_total",
-      "nexus_rpc_rejected_total", "nexus_rpc_peer_died_total",
-      "nexus_rpc_late_replies_total", "nexus_rpc_bulk_pull_chunks_total",
-      "nexus_rpc_bulk_errors_total"};
-  for (const char* f : kCtxCounters) {
-    out += std::string("# TYPE ") + f + " counter\n";
-  }
+  prom_types(out, kContextMetrics, /*counters=*/false);
+  prom_types(out, kContextMetrics, /*counters=*/true);
   for (const auto& [id, cm] : snap.contexts) {
     const std::string labels = "context=\"" + std::to_string(id) + "\"";
-    prom_histogram(out, "nexus_rsr_oneway_ns", labels, cm.rsr_oneway_ns);
-    prom_histogram(out, "nexus_handler_ns", labels, cm.handler_ns);
-    prom_histogram(out, "nexus_poll_interval_ns", labels,
-                   cm.poll_interval_ns);
-    prom_histogram(out, "nexus_poll_batch", labels, cm.poll_batch);
-    prom_histogram(out, "nexus_rsr_retries", labels, cm.rsr_retries);
-    prom_counter(out, "nexus_failovers_total", labels, cm.failovers);
-    prom_counter(out, "nexus_suspects_total", labels, cm.suspects);
-    prom_counter(out, "nexus_restores_total", labels, cm.restores);
-    prom_counter(out, "nexus_adapt_switches_total", labels,
-                 cm.adapt_switches);
-    prom_counter(out, "nexus_adapt_reranks_total", labels, cm.adapt_reranks);
-    prom_counter(out, "nexus_adapt_probes_total", labels, cm.adapt_probes);
-    prom_counter(out, "nexus_peer_deaths_total", labels, cm.peer_deaths);
-    prom_counter(out, "nexus_peer_reborns_total", labels, cm.peer_reborns);
-    prom_counter(out, "nexus_deadletters_total", labels, cm.deadletters);
-    prom_counter(out, "nexus_deadletter_drops_total", labels,
-                 cm.deadletter_drops);
-    prom_counter(out, "nexus_deadletter_redeliveries_total", labels,
-                 cm.deadletter_redeliveries);
-    prom_counter(out, "nexus_ctx_send_errors_total", labels, cm.send_errors);
-    prom_counter(out, "nexus_rpc_calls_total", labels, cm.rpc_calls);
-    prom_counter(out, "nexus_rpc_deadline_exceeded_total", labels,
-                 cm.rpc_deadline_exceeded);
-    prom_counter(out, "nexus_rpc_cancelled_total", labels, cm.rpc_cancelled);
-    prom_counter(out, "nexus_rpc_rejected_total", labels, cm.rpc_rejected);
-    prom_counter(out, "nexus_rpc_peer_died_total", labels, cm.rpc_peer_died);
-    prom_counter(out, "nexus_rpc_late_replies_total", labels,
-                 cm.rpc_late_replies);
-    prom_counter(out, "nexus_rpc_bulk_pull_chunks_total", labels,
-                 cm.rpc_bulk_pull_chunks);
-    prom_counter(out, "nexus_rpc_bulk_errors_total", labels,
-                 cm.rpc_bulk_errors);
-    prom_histogram(out, "nexus_rpc_call_ns", labels, cm.rpc_call_ns);
-    prom_histogram(out, "nexus_rpc_bulk_mb_s", labels, cm.rpc_bulk_mb_s);
+    prom_series(out, kContextMetrics, labels, cm, cm);
   }
-
-  static constexpr const char* kMethodCounters[] = {
-      "nexus_sends_total", "nexus_recvs_total", "nexus_bytes_sent_total",
-      "nexus_bytes_received_total", "nexus_polls_total",
-      "nexus_poll_hits_total", "nexus_send_errors_total",
-      "nexus_recv_corrupt_total", "nexus_rel_retransmits_total",
-      "nexus_rel_dup_drops_total", "nexus_rel_epoch_rejects_total"};
-  for (const char* f : kMethodCounters) {
-    out += std::string("# TYPE ") + f + " counter\n";
-  }
-  out += "# TYPE nexus_send_bytes histogram\n";
-  out += "# TYPE nexus_recv_bytes histogram\n";
-  out += "# TYPE nexus_window_occupancy histogram\n";
+  prom_types(out, kMethodMetrics, /*counters=*/true);
+  prom_types(out, kMethodMetrics, /*counters=*/false);
   for (const auto& [key, mm] : snap.methods) {
     const std::string labels = "context=\"" + std::to_string(key.first) +
                                "\",method=\"" + json_escape(key.second) +
                                "\"";
-    const util::MethodCounters& c = mm.counters;
-    prom_counter(out, "nexus_sends_total", labels, c.sends);
-    prom_counter(out, "nexus_recvs_total", labels, c.recvs);
-    prom_counter(out, "nexus_bytes_sent_total", labels, c.bytes_sent);
-    prom_counter(out, "nexus_bytes_received_total", labels,
-                 c.bytes_received);
-    prom_counter(out, "nexus_polls_total", labels, c.polls);
-    prom_counter(out, "nexus_poll_hits_total", labels, c.poll_hits);
-    prom_counter(out, "nexus_send_errors_total", labels, c.send_errors);
-    prom_counter(out, "nexus_recv_corrupt_total", labels, c.recv_corrupt);
-    prom_counter(out, "nexus_rel_retransmits_total", labels,
-                 c.rel_retransmits);
-    prom_counter(out, "nexus_rel_dup_drops_total", labels, c.rel_dup_drops);
-    prom_counter(out, "nexus_rel_epoch_rejects_total", labels,
-                 c.rel_epoch_rejects);
-    prom_histogram(out, "nexus_send_bytes", labels, mm.send_bytes);
-    prom_histogram(out, "nexus_recv_bytes", labels, mm.recv_bytes);
-    prom_histogram(out, "nexus_window_occupancy", labels,
-                   mm.window_occupancy);
+    prom_series(out, kMethodMetrics, labels, mm, mm.counters);
   }
   return out;
 }

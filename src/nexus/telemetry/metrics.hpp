@@ -23,8 +23,6 @@
 #include <string_view>
 #include <utility>
 
-#include "util/stats.hpp"
-
 namespace nexus::telemetry {
 
 /// Log2-bucketed histogram of non-negative integer samples (nanoseconds,
@@ -85,11 +83,35 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
+/// Traffic and protocol counters of one (context, method) pair, the
+/// enquiry data every module updates.  Each field is merged and exported
+/// through its one row of the method metric table (metrics.cpp).
+struct MethodCounters {
+  std::uint64_t sends = 0;
+  std::uint64_t recvs = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t polls = 0;
+  std::uint64_t poll_hits = 0;  ///< polls that found at least one message
+  std::uint64_t send_errors = 0;   ///< sends that failed (transient or dead)
+  std::uint64_t recv_corrupt = 0;  ///< received packets quarantined for
+                                   ///< integrity failure (never dispatched)
+  // Reliability-wrapper protocol counters (zero for plain transports).
+  std::uint64_t rel_retransmits = 0;    ///< window entries resent on timeout
+  std::uint64_t rel_dup_drops = 0;      ///< duplicate Data frames suppressed
+  std::uint64_t rel_acks_sent = 0;      ///< standalone Ack frames emitted
+  std::uint64_t rel_acks_received = 0;  ///< standalone Ack frames consumed
+  std::uint64_t rel_epoch_rejects = 0;  ///< stale-incarnation Data frames and
+                                        ///< ghost acks rejected
+
+  void merge(const MethodCounters& o) noexcept;
+};
+
 /// Everything tracked for one (context, method) pair.
 struct MethodMetrics {
-  util::MethodCounters counters;  ///< canonical storage; modules bind here
-  Histogram send_bytes;           ///< wire bytes per send
-  Histogram recv_bytes;           ///< wire bytes per received packet
+  MethodCounters counters;  ///< canonical storage; modules bind here
+  Histogram send_bytes;     ///< wire bytes per successful send
+  Histogram recv_bytes;     ///< wire bytes per received packet
   /// Reliability wrappers only: unacked window entries sampled at each
   /// accepted send (occupancy *after* the packet entered the window).
   Histogram window_occupancy;
@@ -191,3 +213,8 @@ class MetricsRegistry {
 };
 
 }  // namespace nexus::telemetry
+
+namespace nexus::util {
+/// The counters' former home; code outside the library still names them so.
+using MethodCounters = telemetry::MethodCounters;
+}  // namespace nexus::util

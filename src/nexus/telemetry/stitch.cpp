@@ -6,7 +6,6 @@
 #include <map>
 
 #include "nexus/telemetry/json.hpp"
-#include "util/stats.hpp"
 
 namespace nexus::telemetry {
 
@@ -135,12 +134,6 @@ std::vector<SpanNode> TraceStitcher::spans(std::uint64_t trace) const {
   return out;
 }
 
-namespace {
-std::string chrome_ts(Time ns) {
-  return util::fmt_fixed(static_cast<double>(ns) / 1000.0, 3);
-}
-}  // namespace
-
 std::string TraceStitcher::chrome_json() const {
   // Time-sort an index so flow arrows come out in causal order regardless
   // of ingestion order (dumps may arrive per context, not per time).
@@ -151,56 +144,13 @@ std::string TraceStitcher::chrome_json() const {
   });
 
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& fields) {
-    if (!first) out += ",";
-    first = false;
-    out += "{" + fields + "}";
-  };
   for (std::size_t i : idx) {
-    const Event& ev = events_[i];
-    std::string name = phase_name(ev.phase);
+    std::string name = phase_name(events_[i].phase);
     if (!names_[i].empty()) {
       name += ":";
       name += names_[i];
     }
-    const std::string common =
-        "\"ts\":" + chrome_ts(ev.when) +
-        ",\"pid\":" + std::to_string(ev.context) + ",\"tid\":0";
-    const std::string args = ",\"args\":{\"span\":" + std::to_string(ev.span) +
-                             ",\"parent\":" + std::to_string(ev.parent) +
-                             ",\"trace\":" + std::to_string(ev.trace) +
-                             ",\"size\":" + std::to_string(ev.size) +
-                             ",\"aux\":" + std::to_string(ev.aux) + "}";
-    if (ev.span != 0 && ev.phase == Phase::Send) {
-      emit("\"name\":" + json_quote(name) +
-           ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
-    } else if (ev.span != 0 && ev.phase == Phase::Dispatch) {
-      emit("\"name\":" + json_quote(name) +
-           ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
-    } else if (ev.span != 0 && ev.parent != 0 && ev.span != ev.parent &&
-               ev.phase == Phase::Forward) {
-      emit("\"name\":" + json_quote(name) +
-           ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" + std::to_string(ev.parent) +
-           "," + common + args);
-      emit("\"name\":" + json_quote(name) +
-           ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
-    }
-    if (ev.trace != 0 && ev.phase == Phase::Send) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"s\",\"id\":" +
-           std::to_string(ev.trace) + "," + common);
-    } else if (ev.trace != 0 && ev.phase == Phase::Forward) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"t\",\"id\":" +
-           std::to_string(ev.trace) + "," + common);
-    } else if (ev.trace != 0 && ev.phase == Phase::Dispatch) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"f\",\"bp\":\"e\""
-           ",\"id\":" + std::to_string(ev.trace) + "," + common);
-    }
-    emit("\"name\":" + json_quote(name) +
-         ",\"cat\":\"nexus\",\"ph\":\"i\",\"s\":\"t\"," + common + args);
+    append_chrome_event(out, events_[i], name);
   }
   out += "],\"otherData\":{\"stitched\":true,\"events\":" +
          std::to_string(events_.size()) + "}}";

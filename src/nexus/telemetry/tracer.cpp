@@ -139,6 +139,14 @@ std::vector<Event> Tracer::events() const {
   return out;
 }
 
+std::size_t Tracer::count(Phase phase, std::string_view label) const {
+  std::size_t n = 0;
+  for (const Event& ev : events()) {
+    n += ev.phase == phase && (label.empty() || label_name(ev.label) == label);
+  }
+  return n;
+}
+
 std::uint64_t Tracer::recorded() const {
   std::uint64_t total = 0;
   for (const Stripe& s : stripes_) {
@@ -174,76 +182,73 @@ std::string chrome_ts(Time ns) {
 }
 }  // namespace
 
+void append_chrome_event(std::string& out, const Event& ev,
+                         const std::string& name) {
+  auto emit = [&](const std::string& fields) {
+    if (out.back() != '[') out += ",";
+    out += "{" + fields + "}";
+  };
+  const std::string common = "\"ts\":" + chrome_ts(ev.when) +
+                             ",\"pid\":" + std::to_string(ev.context) +
+                             ",\"tid\":0";
+  const std::string args = ",\"args\":{\"span\":" + std::to_string(ev.span) +
+                           ",\"parent\":" + std::to_string(ev.parent) +
+                           ",\"trace\":" + std::to_string(ev.trace) +
+                           ",\"size\":" + std::to_string(ev.size) +
+                           ",\"aux\":" + std::to_string(ev.aux) + "}";
+  // Span-linked lifecycle: an async begin at the send, an end at each
+  // dispatch.  Chrome matches begin/end by (cat, id) across processes,
+  // which is exactly the cross-context linkage a span provides.  A
+  // Forward event both ends the span it relays (parent) and begins the
+  // child span stamped on the outgoing packet, so relayed RSRs render as
+  // chained slices rather than one dangling begin.
+  if (ev.span != 0 && ev.phase == Phase::Send) {
+    emit("\"name\":" + json_quote(name) +
+         ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
+         "," + common + args);
+  } else if (ev.span != 0 && ev.phase == Phase::Dispatch) {
+    emit("\"name\":" + json_quote(name) +
+         ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" + std::to_string(ev.span) +
+         "," + common + args);
+  } else if (ev.span != 0 && ev.parent != 0 && ev.span != ev.parent &&
+             ev.phase == Phase::Forward) {
+    emit("\"name\":" + json_quote(name) +
+         ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" +
+         std::to_string(ev.parent) + "," + common + args);
+    emit("\"name\":" + json_quote(name) +
+         ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
+         "," + common + args);
+  }
+  // Flow arrows stitch the hops of one causal chain: start at the origin
+  // send, step at each relay, finish at the dispatch.
+  if (ev.trace != 0 && ev.phase == Phase::Send) {
+    emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"s\",\"id\":" +
+         std::to_string(ev.trace) + "," + common);
+  } else if (ev.trace != 0 && ev.phase == Phase::Forward) {
+    emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"t\",\"id\":" +
+         std::to_string(ev.trace) + "," + common);
+  } else if (ev.trace != 0 && ev.phase == Phase::Dispatch) {
+    emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"f\",\"bp\":\"e\""
+         ",\"id\":" + std::to_string(ev.trace) + "," + common);
+  }
+  emit("\"name\":" + json_quote(name) +
+       ",\"cat\":\"nexus\",\"ph\":\"i\",\"s\":\"t\"," + common + args);
+}
+
 std::string Tracer::chrome_json() const {
   const std::vector<Event> evs = events();
   const std::vector<std::string> labels = labels_snapshot();
-  const std::uint64_t total = recorded();
-  const std::uint64_t lost = dropped();
-  auto name_of = [&](const Event& ev) {
-    std::string n = phase_name(ev.phase);
-    if (ev.label != 0 && ev.label < labels.size()) {
-      n += ":";
-      n += labels[ev.label];
-    }
-    return n;
-  };
-
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& fields) {
-    if (!first) out += ",";
-    first = false;
-    out += "{" + fields + "}";
-  };
   for (const Event& ev : evs) {
-    const std::string common =
-        "\"ts\":" + chrome_ts(ev.when) +
-        ",\"pid\":" + std::to_string(ev.context) + ",\"tid\":0";
-    const std::string args = ",\"args\":{\"span\":" + std::to_string(ev.span) +
-                             ",\"parent\":" + std::to_string(ev.parent) +
-                             ",\"trace\":" + std::to_string(ev.trace) +
-                             ",\"size\":" + std::to_string(ev.size) +
-                             ",\"aux\":" + std::to_string(ev.aux) + "}";
-    // Span-linked lifecycle: an async begin at the send, an end at each
-    // dispatch.  Chrome matches begin/end by (cat, id) across processes,
-    // which is exactly the cross-context linkage a span provides.  A
-    // Forward event both ends the span it relays (parent) and begins the
-    // child span stamped on the outgoing packet, so relayed RSRs render as
-    // chained slices rather than one dangling begin.
-    if (ev.span != 0 && ev.phase == Phase::Send) {
-      emit("\"name\":" + json_quote(name_of(ev)) +
-           ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
-    } else if (ev.span != 0 && ev.phase == Phase::Dispatch) {
-      emit("\"name\":" + json_quote(name_of(ev)) +
-           ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
-    } else if (ev.span != 0 && ev.parent != 0 && ev.span != ev.parent &&
-               ev.phase == Phase::Forward) {
-      emit("\"name\":" + json_quote(name_of(ev)) +
-           ",\"cat\":\"rsr\",\"ph\":\"e\",\"id\":" + std::to_string(ev.parent) +
-           "," + common + args);
-      emit("\"name\":" + json_quote(name_of(ev)) +
-           ",\"cat\":\"rsr\",\"ph\":\"b\",\"id\":" + std::to_string(ev.span) +
-           "," + common + args);
+    std::string name = phase_name(ev.phase);
+    if (ev.label != 0 && ev.label < labels.size()) {
+      name += ":";
+      name += labels[ev.label];
     }
-    // Flow arrows stitch the hops of one causal chain: start at the origin
-    // send, step at each relay, finish at the dispatch.
-    if (ev.trace != 0 && ev.phase == Phase::Send) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"s\",\"id\":" +
-           std::to_string(ev.trace) + "," + common);
-    } else if (ev.trace != 0 && ev.phase == Phase::Forward) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"t\",\"id\":" +
-           std::to_string(ev.trace) + "," + common);
-    } else if (ev.trace != 0 && ev.phase == Phase::Dispatch) {
-      emit("\"name\":\"rsr_flow\",\"cat\":\"rsrflow\",\"ph\":\"f\",\"bp\":\"e\""
-           ",\"id\":" + std::to_string(ev.trace) + "," + common);
-    }
-    emit("\"name\":" + json_quote(name_of(ev)) +
-         ",\"cat\":\"nexus\",\"ph\":\"i\",\"s\":\"t\"," + common + args);
+    append_chrome_event(out, ev, name);
   }
-  out += "],\"otherData\":{\"trace_recorded\":" + std::to_string(total) +
-         ",\"trace_dropped\":" + std::to_string(lost) + "}}";
+  out += "],\"otherData\":{\"trace_recorded\":" + std::to_string(recorded()) +
+         ",\"trace_dropped\":" + std::to_string(dropped()) + "}}";
   return out;
 }
 

@@ -89,6 +89,13 @@ struct Event {
   std::uint64_t trace = 0;   ///< causal chain id; constant across all hops
 };
 
+/// Append the Chrome trace-event records of one event (async span
+/// begin/end, flow-arrow step, and the instant) to an open traceEvents
+/// array; `name` is the rendered event name.  The tracer and the
+/// TraceStitcher both render events through this one definition.
+void append_chrome_event(std::string& out, const Event& ev,
+                         const std::string& name);
+
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
@@ -132,6 +139,9 @@ class Tracer {
 
   /// Snapshot of retained events, oldest first.
   std::vector<Event> events() const;
+  /// Retained events of `phase`; with a label, only those carrying it (the
+  /// method name of Send/Forward events, the handler name of Dispatch).
+  std::size_t count(Phase phase, std::string_view label = {}) const;
   /// Total events ever recorded (including overwritten ones).
   std::uint64_t recorded() const;
   /// Events lost to ring wrap-around.

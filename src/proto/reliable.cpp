@@ -65,7 +65,7 @@ void ReliableModule::initialize(Context& ctx) {
   // traffic from the raw frames (data + retransmits + acks) underneath.
   telemetry::Telemetry& tele = ctx.runtime().telemetry();
   const std::string layered = name_ + "/" + inner_name_;
-  inner_->bind_metrics(tele.metrics().method(cid, layered));
+  inner_->bind_metrics(tele.metrics(), tele.metrics().method(cid, layered));
   inner_->set_trace_label(tele.tracer().intern(layered));
 
   // The wrapper owns its own inbox, keyed by the wrapper name: rel frames
@@ -123,19 +123,9 @@ std::uint64_t ReliableModule::in_flight(ContextId peer) const {
 
 SendResult ReliableModule::inner_send(CommObject& conn, Packet pkt) {
   // The wrapper drives the inner module directly, bypassing the context
-  // send path that normally maintains these counters.
-  util::MethodCounters& c = inner_->counters();
+  // send path that normally does this accounting.
   const SendResult r = inner_->send(conn, std::move(pkt));
-  c.sends += 1;
-  if (r.ok()) {
-    c.bytes_sent += r.wire;
-    if (ctx_->runtime().telemetry().metrics().enabled() &&
-        inner_->metrics() != nullptr) {
-      inner_->metrics()->send_bytes.add(r.wire);
-    }
-  } else {
-    c.send_errors += 1;
-  }
+  inner_->count_send(r);
   return r;
 }
 
@@ -393,9 +383,7 @@ void ReliableModule::handle_data(Packet pkt) {
 void ReliableModule::drain_inbox() {
   while (auto pkt = inbox_->poll()) {
     // Inner-layer receive accounting: the frame crossed the inner wire.
-    util::MethodCounters& ic = inner_->counters();
-    ic.recvs += 1;
-    ic.bytes_received += pkt->wire_size();
+    inner_->count_recv(*pkt);
     if (pkt->corrupted) {
       // An integrity failure means no header field can be trusted; treat
       // the whole frame as loss and let retransmission repair it.
@@ -541,9 +529,7 @@ SendResult ReliableModule::send(CommObject& conn, Packet packet) {
   }
   // Ok or Transient: the packet sits in the window and retransmission
   // repairs any loss -- the wrapper has accepted responsibility.
-  if (ctx_->runtime().telemetry().metrics().enabled() && metrics() != nullptr) {
-    metrics()->window_occupancy.add(st.next_seq - st.base);
-  }
+  if (histograms_on()) metrics()->window_occupancy.add(st.next_seq - st.base);
   return {DeliveryStatus::Ok, wire};
 }
 

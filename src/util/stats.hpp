@@ -1,8 +1,7 @@
 // Streaming statistics and simple fixed-bin histograms.
 //
 // Used by the benchmark harnesses to report means/percentiles of one-way
-// times and by the runtime's enquiry interface to expose per-method traffic
-// counters.
+// times and by the adaptive cost model.
 #pragma once
 
 #include <cstddef>
@@ -102,42 +101,6 @@ class DecayingEwma {
   double weight_ = 0.0;  ///< 1-(1-alpha)^n, the undecayed confidence
   double last_ = 0.0;
   std::size_t n_ = 0;
-};
-
-/// Monotonically-labelled counter bundle used for enquiry functions.
-struct MethodCounters {
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t polls = 0;
-  std::uint64_t poll_hits = 0;  ///< polls that found at least one message
-  std::uint64_t send_errors = 0;   ///< sends that failed (transient or dead)
-  std::uint64_t recv_corrupt = 0;  ///< received packets quarantined for
-                                   ///< integrity failure (never dispatched)
-  // Reliability-wrapper protocol counters (zero for plain transports).
-  std::uint64_t rel_retransmits = 0;    ///< window entries resent on timeout
-  std::uint64_t rel_dup_drops = 0;      ///< duplicate Data frames suppressed
-  std::uint64_t rel_acks_sent = 0;      ///< standalone Ack frames emitted
-  std::uint64_t rel_acks_received = 0;  ///< standalone Ack frames consumed
-  std::uint64_t rel_epoch_rejects = 0;  ///< stale-incarnation Data frames and
-                                        ///< ghost acks rejected
-
-  void merge(const MethodCounters& o) noexcept {
-    sends += o.sends;
-    recvs += o.recvs;
-    bytes_sent += o.bytes_sent;
-    bytes_received += o.bytes_received;
-    polls += o.polls;
-    poll_hits += o.poll_hits;
-    send_errors += o.send_errors;
-    recv_corrupt += o.recv_corrupt;
-    rel_retransmits += o.rel_retransmits;
-    rel_dup_drops += o.rel_dup_drops;
-    rel_acks_sent += o.rel_acks_sent;
-    rel_acks_received += o.rel_acks_received;
-    rel_epoch_rejects += o.rel_epoch_rejects;
-  }
 };
 
 /// Format a double with fixed precision (helper for table printing).

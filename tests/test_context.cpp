@@ -357,7 +357,7 @@ TEST(Forwarding, RoutesViaForwarderAndDisablesTcpPolls) {
   RuntimeOptions opts = sim_opts(simnet::Topology::two_partitions(2, 2));
   opts.forwarders[1] = 2;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
 
   run_mpmd(rt,
            {[&](Context& ctx) {
@@ -387,7 +387,8 @@ TEST(Forwarding, RoutesViaForwarderAndDisablesTcpPolls) {
               EXPECT_GE(ctx.method_counters("mpl").recvs, 1u);
             }});
 
-  EXPECT_GE(rt.trace().count(simnet::TraceKind::Forward, "mpl"), 1u);
+  EXPECT_GE(rt.telemetry().tracer().count(telemetry::Phase::Forward, "mpl"),
+            1u);
 }
 
 TEST(Forwarding, MisconfiguredForwarderRejected) {

@@ -176,6 +176,26 @@ TEST(Reliable, ExactlyOnceInOrderUnderSilentLoss) {
   const auto* receiver = snap.find_method(0, "rel+udp");
   ASSERT_NE(receiver, nullptr);
   EXPECT_GT(receiver->counters.rel_acks_sent, 0u);
+  EXPECT_GT(wrapper->counters.rel_acks_received, 0u);
+  // Both ack counters reach the Prometheus exposition, with their values.
+  const std::string prom = rt.telemetry().metrics().to_prometheus();
+  for (const char* family :
+       {"nexus_rel_acks_sent_total", "nexus_rel_acks_received_total"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + family + " counter\n"),
+              std::string::npos)
+        << family;
+  }
+  EXPECT_NE(prom.find("nexus_rel_acks_sent_total{context=\"0\",method=\"rel+"
+                      "udp\"} " +
+                      std::to_string(receiver->counters.rel_acks_sent) + "\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("nexus_rel_acks_received_total{context=\"1\",method="
+                      "\"rel+udp\"} " +
+                      std::to_string(wrapper->counters.rel_acks_received) +
+                      "\n"),
+            std::string::npos)
+      << prom;
 }
 
 // ---------------------------------------------------------------------------

@@ -197,9 +197,10 @@ TEST(PeerDeath, DeadLetterQueueCapsAndRedeliversOnRebirth) {
                                 ++delivered[ub.get_u64()];
                                 ++got;
                               });
-         while (got < 5 && ctx.now() < 100 * kMs) {
-           ctx.compute_with_polling(1 * kMs, 250 * kUs);
-         }
+         // Causal wait on the delivery count, not a virtual deadline: with
+         // several shards this context's clock runs independently of the
+         // sender's (docs/ARCHITECTURE.md §13.4).
+         ctx.wait_count(got, 5);
          done.store(true, std::memory_order_release);
        }});
 
@@ -263,7 +264,7 @@ TEST(Drain, ForwarderHandsRelayDutyToSibling) {
   // virtual clock (docs §13.4): single-shard only.
   opts.threads = 1;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
 
   std::atomic<int> phase{0};  // 0: pre-drain, 1: drained, 2: all sent
   std::atomic<int> delivered{0};
@@ -318,7 +319,8 @@ TEST(Drain, ForwarderHandsRelayDutyToSibling) {
   // Batch 2 took an extra relay hop: the sibling forwarded traffic that was
   // not addressed to it.
   EXPECT_GE(rt.context(3).method_counters("mpl").recvs, 1u);
-  EXPECT_GE(rt.trace().count(simnet::TraceKind::Forward, "mpl"), 2u);
+  EXPECT_GE(rt.telemetry().tracer().count(telemetry::Phase::Forward, "mpl"),
+            2u);
 }
 
 // Draining toward a context that does not exist is a configuration error.

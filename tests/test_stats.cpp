@@ -189,18 +189,6 @@ TEST(DecayingEwma, ResetClearsSamplesButKeepsParameters) {
   EXPECT_NEAR(e.confidence(102.0), 0.25, 1e-9);  // alpha 0.5 halved once
 }
 
-TEST(MethodCounters, MergeAccumulates) {
-  nexus::util::MethodCounters a, b;
-  a.sends = 3;
-  a.bytes_sent = 100;
-  b.sends = 2;
-  b.polls = 7;
-  a.merge(b);
-  EXPECT_EQ(a.sends, 5u);
-  EXPECT_EQ(a.bytes_sent, 100u);
-  EXPECT_EQ(a.polls, 7u);
-}
-
 TEST(FmtFixed, Formats) {
   EXPECT_EQ(nexus::util::fmt_fixed(104.94, 1), "104.9");
   EXPECT_EQ(nexus::util::fmt_fixed(0.5, 3), "0.500");

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "nexus/adapt/adaptive_selector.hpp"
 #include "nexus/runtime.hpp"
 #include "nexus/telemetry/export.hpp"
 #include "nexus/telemetry/stitch.hpp"
@@ -167,6 +168,20 @@ TEST(Histogram, MergeAccumulates) {
   EXPECT_EQ(a.min(), 3u);
   EXPECT_EQ(a.max(), 1000u);
   EXPECT_EQ(a.sum(), 1013u);
+}
+
+TEST(MethodCounters, MergeAccumulates) {
+  telemetry::MethodCounters a, b;
+  a.sends = 3;
+  a.bytes_sent = 100;
+  b.sends = 2;
+  b.polls = 7;
+  b.rel_epoch_rejects = 4;  // the last row of the method table
+  a.merge(b);
+  EXPECT_EQ(a.sends, 5u);
+  EXPECT_EQ(a.bytes_sent, 100u);
+  EXPECT_EQ(a.polls, 7u);
+  EXPECT_EQ(a.rel_epoch_rejects, 4u);
 }
 
 // ---------------------------------------------------------------- tracer ---
@@ -581,6 +596,81 @@ TEST(MetricsText, PrometheusExpositionHasTypesAndInfBucket) {
   EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(prom.find("nexus_sends_total{context=\"1\",method=\"mpl\"}"),
             std::string::npos);
+}
+
+/// Every send and receive path reports through one accounting helper, so
+/// each method's size histograms count exactly what its counters count.
+void expect_histograms_agree_with_counters(const Runtime& rt) {
+  const auto snap = rt.telemetry().metrics().snapshot();
+  for (const auto& [key, mm] : snap.methods) {
+    const auto& c = mm.counters;
+    EXPECT_EQ(mm.send_bytes.count(), c.sends - c.send_errors)
+        << "context " << key.first << " method " << key.second;
+    EXPECT_EQ(mm.send_bytes.sum(), c.bytes_sent)
+        << "context " << key.first << " method " << key.second;
+    EXPECT_EQ(mm.recv_bytes.count(), c.recvs)
+        << "context " << key.first << " method " << key.second;
+    EXPECT_EQ(mm.recv_bytes.sum(), c.bytes_received)
+        << "context " << key.first << " method " << key.second;
+  }
+}
+
+TEST(MetricsConsistency, AdaptiveProbesReachSendBytes) {
+  RuntimeOptions opts;
+  opts.topology = simnet::Topology::single_partition(2);
+  opts.threads = 1;
+  opts.adaptive = true;
+  Runtime rt(opts);
+  rt.run(std::vector<std::function<void(Context&)>>{
+      [&](Context& ctx) {
+        std::uint64_t pings = 0;
+        Startpoint back = ctx.world_startpoint(1);
+        ctx.register_handler("ping",
+                             [&](Context& c, Endpoint&, util::UnpackBuffer&) {
+                               ++pings;
+                               c.rsr(back, "pong");
+                             });
+        ctx.wait_count(pings, 8);
+      },
+      [&](Context& ctx) {
+        std::uint64_t pongs = 0;
+        ctx.register_handler("pong", [&](Context&, Endpoint&,
+                                         util::UnpackBuffer&) { ++pongs; });
+        ctx.set_selector(std::make_unique<adapt::AdaptiveSelector>());
+        Startpoint sp = ctx.world_startpoint(0);
+        for (std::uint64_t i = 1; i <= 8; ++i) {
+          ctx.rsr(sp, "ping", util::SharedBytes(util::Bytes(64 << i, 0x5)));
+          ctx.wait_count(pongs, i);
+        }
+      }});
+  ASSERT_GT(rt.telemetry().metrics().context(1).adapt_probes, 0u);
+  expect_histograms_agree_with_counters(rt);
+}
+
+TEST(MetricsConsistency, BlockingPollerReceivesReachRecvBytes) {
+  RuntimeOptions opts;
+  opts.fabric = RuntimeOptions::Fabric::Realtime;
+  opts.topology = simnet::Topology::two_partitions(1, 1);
+  opts.modules = {"local", "mpl", "tcp"};
+  Runtime rt(opts);
+  rt.run(std::vector<std::function<void(Context&)>>{
+      [&](Context& ctx) {
+        std::uint64_t done = 0;
+        ctx.register_handler("hit", [&](Context&, Endpoint&,
+                                        util::UnpackBuffer&) { ++done; });
+        ctx.set_blocking_poller("tcp", true);
+        ctx.wait_count(done, 5);
+        ctx.set_blocking_poller("tcp", false);
+      },
+      [&](Context& ctx) {
+        Startpoint sp = ctx.world_startpoint(0);
+        for (int i = 0; i < 5; ++i) ctx.rsr(sp, "hit");
+      }});
+  const auto snap = rt.telemetry().metrics().snapshot();
+  const auto* tcp = snap.find_method(0, "tcp");
+  ASSERT_NE(tcp, nullptr);
+  ASSERT_EQ(tcp->counters.recvs, 5u);
+  expect_histograms_agree_with_counters(rt);
 }
 
 TEST(MetricsExporterUnit, WritesOneWellFormedJsonLinePerSample) {

@@ -1,12 +1,12 @@
-// Trace recorder integration: event sequences recorded across a run.
+// Span tracer integration: event sequences recorded across a run.
 #include <gtest/gtest.h>
 
 #include "nexus/runtime.hpp"
-#include "simnet/trace.hpp"
 
 namespace {
 
 using namespace nexus;
+using telemetry::Phase;
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
   RuntimeOptions opts;
@@ -24,14 +24,14 @@ TEST(Trace, DisabledByDefaultRecordsNothing) {
       ctx.wait_count(done, 1);
     }
   });
-  EXPECT_TRUE(rt.trace().events().empty());
+  EXPECT_TRUE(rt.telemetry().tracer().events().empty());
 }
 
 TEST(Trace, SendAndDispatchRecordedInOrder) {
   RuntimeOptions opts;
   opts.topology = simnet::Topology::single_partition(2);
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
   rt.run([&](Context& ctx) {
     std::uint64_t done = 0;
     ctx.register_handler("ev", [&](Context&, Endpoint&, util::UnpackBuffer&) {
@@ -44,16 +44,15 @@ TEST(Trace, SendAndDispatchRecordedInOrder) {
       ctx.wait_count(done, 3);
     }
   });
-  EXPECT_EQ(rt.trace().count(simnet::TraceKind::Send, "mpl"), 3u);
-  EXPECT_EQ(rt.trace().count(simnet::TraceKind::Dispatch), 3u);
+  const telemetry::Tracer& tr = rt.telemetry().tracer();
+  EXPECT_EQ(tr.count(Phase::Send, "mpl"), 3u);
+  EXPECT_EQ(tr.count(Phase::Dispatch), 3u);
   // Every dispatch happens after its send (virtual timestamps monotone per
   // message; here simply: first send precedes first dispatch).
   Time first_send = -1, first_dispatch = -1;
-  for (const auto& ev : rt.trace().events()) {
-    if (ev.kind == simnet::TraceKind::Send && first_send < 0) {
-      first_send = ev.when;
-    }
-    if (ev.kind == simnet::TraceKind::Dispatch && first_dispatch < 0) {
+  for (const auto& ev : tr.events()) {
+    if (ev.phase == Phase::Send && first_send < 0) first_send = ev.when;
+    if (ev.phase == Phase::Dispatch && first_dispatch < 0) {
       first_dispatch = ev.when;
     }
   }
@@ -65,7 +64,7 @@ TEST(Trace, ForwardEventsCarryTheRelayMethod) {
   opts.topology = simnet::Topology::two_partitions(2, 2);
   opts.forwarders[1] = 2;
   Runtime rt(opts);
-  rt.trace().enable();
+  rt.telemetry().tracer().enable();
   rt.run(std::vector<std::function<void(Context&)>>{
       [&](Context& ctx) {
         Startpoint sp = ctx.world_startpoint(3);
@@ -85,19 +84,21 @@ TEST(Trace, ForwardEventsCarryTheRelayMethod) {
                              });
         ctx.wait_count(done, 1);
       }});
-  ASSERT_GE(rt.trace().count(simnet::TraceKind::Forward), 1u);
-  for (const auto& ev : rt.trace().events()) {
-    if (ev.kind == simnet::TraceKind::Forward) {
-      EXPECT_EQ(ev.method, "mpl");  // relayed into the partition over mpl
-      EXPECT_EQ(ev.context, 2u);    // by the forwarder
+  const telemetry::Tracer& tr = rt.telemetry().tracer();
+  ASSERT_GE(tr.count(Phase::Forward), 1u);
+  for (const auto& ev : tr.events()) {
+    if (ev.phase == Phase::Forward) {
+      // Relayed into the partition over mpl, by the forwarder.
+      EXPECT_EQ(tr.label_name(ev.label), "mpl");
+      EXPECT_EQ(ev.context, 2u);
     }
   }
 }
 
 TEST(Trace, ClearResetsTheLog) {
-  simnet::TraceRecorder tr;
+  telemetry::Tracer tr;
   tr.enable();
-  tr.record({1, 0, simnet::TraceKind::Custom, "m", 0, "note"});
+  tr.record_custom(1, 0, "note");
   EXPECT_EQ(tr.events().size(), 1u);
   tr.clear();
   EXPECT_TRUE(tr.events().empty());
