@@ -3,7 +3,9 @@
 // files under tests/golden/metrics/.  JSON and Prometheus print every key
 // even at zero, so the files also pin each metric's exported name and
 // order; between them the runs drive every counter group (method, rel,
-// failover, adapt, robust, rpc) to non-zero values.
+// failover, adapt, robust, rpc) to non-zero values.  Each run also pins
+// every context's selection log (<run>.selection): which method each
+// selection, failover, rerank and adaptive switch picked, why, and when.
 //
 // Regenerate after an intended exporter change with
 //   NEXUS_UPDATE_GOLDEN=1 ./build/tests/test_metrics_golden
@@ -79,11 +81,25 @@ void check_golden(const std::string& file, const std::string& actual) {
       << "\n(regenerate with NEXUS_UPDATE_GOLDEN=1 if the change is intended)";
 }
 
-void check_exports(const std::string& run, const Runtime& rt) {
+/// Every context's selection log, one record per line.
+std::string selection_logs(Runtime& rt) {
+  std::string out;
+  for (ContextId c = 0; c < rt.world_size(); ++c) {
+    for (const SelectionRecord& r : rt.context(c).selection_log()) {
+      out += "context " + std::to_string(c) + " t=" + std::to_string(r.when) +
+             " target " + std::to_string(r.target) + " " + r.method + ": " +
+             r.reason + "\n";
+    }
+  }
+  return out;
+}
+
+void check_exports(const std::string& run, Runtime& rt) {
   const telemetry::MetricsRegistry& reg = rt.telemetry().metrics();
   check_golden(run + ".txt", reg.to_text());
   check_golden(run + ".json", reg.to_json() + "\n");
   check_golden(run + ".prom", reg.to_prometheus());
+  check_golden(run + ".selection", selection_logs(rt));
 }
 
 /// Every golden run is pinned to one shard: its virtual timeline (and so
