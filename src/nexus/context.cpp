@@ -9,14 +9,8 @@
 #include "nexus/runtime.hpp"
 #include "nexus/telemetry/json.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace nexus {
-
-namespace {
-constexpr EndpointId kRootEndpointId = 1;
-constexpr std::uint8_t kMaxForwardHops = 8;
-}  // namespace
 
 /// Realtime-only: dedicated thread servicing one method's blocking poll.
 struct Context::BlockingPoller {
@@ -252,556 +246,6 @@ std::string Context::cost_model_json() const {
   return out;
 }
 
-std::shared_ptr<CommObject> Context::cached_connection(
-    const CommDescriptor& d) {
-  const auto key = std::make_pair(intern_method(d.method), d.context);
-  auto it = connections_.find(key);
-  if (it != connections_.end()) return it->second;
-  CommModule* m = module(d.method);
-  if (m == nullptr) {
-    throw util::MethodError("method '" + d.method +
-                            "' is not loaded in context " +
-                            std::to_string(id_));
-  }
-  auto conn = std::shared_ptr<CommObject>(m->connect(d));
-  connections_.emplace(key, conn);
-  return conn;
-}
-
-bool Context::method_usable(const CommDescriptor& d) {
-  CommModule* m = module(d.method);
-  if (m == nullptr || !m->applicable(d)) return false;
-  return health_.empty() || health_usable(d);
-}
-
-bool Context::health_usable(const CommDescriptor& d) {
-  return health_.usable(intern_method(d.method), d.context, now());
-}
-
-HealthTracker::Status Context::method_health(std::string_view method,
-                                             ContextId target) {
-  return health_.status(intern_method(method), target, now());
-}
-
-std::optional<std::size_t> Context::quarantined_fallback(
-    const DescriptorTable& table) {
-  // Everything applicable is quarantined.  Dropping the RSR would turn a
-  // transient outage into data loss, so probe the entry whose backoff
-  // expires soonest (least-recently-declared-dead) instead.
-  std::optional<std::size_t> best;
-  Time best_retry = 0;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const CommDescriptor& d = table.at(i);
-    CommModule* m = module(d.method);
-    if (m == nullptr || !m->applicable(d)) continue;
-    const Time retry =
-        health_.status(intern_method(d.method), d.context, now()).retry_at;
-    if (!best || retry < best_retry) {
-      best = i;
-      best_retry = retry;
-    }
-  }
-  return best;
-}
-
-void Context::refresh_link_degradation(Startpoint::Link& link,
-                                       std::size_t winner) {
-  link.degraded = false;
-  link.reprobe_at = 0;
-  if (health_.empty()) return;
-  for (std::size_t i = 0; i < link.table.size(); ++i) {
-    if (i == winner) continue;
-    const CommDescriptor& d = link.table.at(i);
-    CommModule* m = module(d.method);
-    if (m == nullptr || !m->applicable(d)) continue;
-    if (health_usable(d)) continue;
-    const Time retry =
-        health_.status(intern_method(d.method), d.context, now()).retry_at;
-    if (!link.degraded || retry < link.reprobe_at) {
-      link.degraded = true;
-      link.reprobe_at = retry;
-    }
-  }
-}
-
-void Context::evict_connection(Startpoint::Link& link) {
-  if (link.conn) {
-    // Purge every cache entry sharing the dead connection: the link-level
-    // cache, the (method, context) connection cache, and any forwarding
-    // routes that would keep resurrecting it.
-    std::erase_if(connections_, [&](const auto& kv) {
-      return kv.second == link.conn;
-    });
-    std::erase_if(forward_routes_, [&](const auto& kv) {
-      return kv.second == link.conn;
-    });
-  }
-  link.conn.reset();
-  link.selected_method.clear();
-  link.degraded = false;
-  link.reprobe_at = 0;
-}
-
-void Context::ensure_connection(const Startpoint& sp, Startpoint::Link& link,
-                                std::uint64_t payload_bytes) {
-  if (adapt_enabled_) maybe_rerank(link);
-  if (link.conn) {
-    if (link.degraded && now() >= link.reprobe_at) {
-      // A quarantined entry's backoff has expired: re-run selection so the
-      // restored method can win the link back (the next send is its probe).
-      // The existing connection stays in the cache -- if selection picks the
-      // same method again, cached_connection returns it unchanged.
-      link.conn.reset();
-      link.selected_method.clear();
-      link.degraded = false;
-      link.reprobe_at = 0;
-    } else if (selector_->payload_aware() && !sp.forced_method()) {
-      // Payload-aware policies re-decide per RSR: the selector's cached
-      // per-(peer, class) decision makes this a cheap check, and the link
-      // only swaps connections when the class winner actually differs.
-      std::string reason;
-      const auto idx =
-          selector_->select_sized(link.table, *this, payload_bytes, reason);
-      if (idx) {
-        const CommDescriptor& d = link.table.at(*idx);
-        if (d.method == link.selected_method) return;
-        link.conn = cached_connection(d);
-        link.selected_method = d.method;
-        refresh_link_degradation(link, *idx);
-        if (observing()) {
-          observe({now(), 0, id_, telemetry::Phase::Select,
-                   link.conn->module().trace_label(), *idx, link.context});
-        }
-        if (!reason.empty()) {
-          selection_log_.push_back(SelectionRecord{link.context, d.method,
-                                                   std::move(reason), now()});
-        }
-        return;
-      }
-      // Nothing usable right now (e.g. everything quarantined): fall
-      // through to the cold path's quarantined_fallback handling.
-      link.conn.reset();
-      link.selected_method.clear();
-    } else {
-      return;
-    }
-  }
-  std::string reason;
-  std::optional<std::size_t> idx;
-  if (sp.forced_method()) {
-    const std::string& method = *sp.forced_method();
-    idx = link.table.find(method);
-    if (!idx) {
-      throw util::MethodError("forced method '" + method +
-                              "' is not in the link's descriptor table");
-    }
-    CommModule* m = module(method);
-    if (m == nullptr || !m->applicable(link.table.at(*idx))) {
-      throw util::MethodError("forced method '" + method +
-                              "' is not applicable from context " +
-                              std::to_string(id_) + " to context " +
-                              std::to_string(link.context));
-    }
-    reason = "forced by application";
-  } else {
-    idx = selector_->select_sized(link.table, *this, payload_bytes, reason);
-    if (idx && reason.empty()) reason = "cached per-peer decision";
-    if (!idx) {
-      idx = quarantined_fallback(link.table);
-      if (idx) {
-        reason = "all applicable methods quarantined; probing the entry "
-                 "whose backoff expires soonest";
-      }
-    }
-    if (!idx) {
-      throw util::MethodError(
-          "no applicable communication method from context " +
-          std::to_string(id_) + " to context " + std::to_string(link.context));
-    }
-  }
-  const CommDescriptor& d = link.table.at(*idx);
-  link.conn = cached_connection(d);
-  link.selected_method = d.method;
-  refresh_link_degradation(link, *idx);
-  if (observing()) {
-    observe({now(), 0, id_, telemetry::Phase::Select,
-             link.conn->module().trace_label(), *idx, link.context});
-  }
-  selection_log_.push_back(SelectionRecord{link.context, d.method,
-                                           std::move(reason), now()});
-}
-
-SendResult Context::send_on_link(Startpoint::Link& link, HandlerId h,
-                                 const util::SharedBytes& payload,
-                                 telemetry::SpanId span,
-                                 std::uint64_t trace) {
-  // The Packet is rebuilt per attempt (send() consumes it even on failure);
-  // construction is cheap and the payload buffer is aliased, never copied.
-  Packet pkt;
-  pkt.src = id_;
-  pkt.dst = link.context;
-  pkt.endpoint = link.endpoint;
-  pkt.handler = h;
-  pkt.payload = payload;  // aliases the caller's buffer: two atomic ops
-  pkt.span = span;
-  pkt.trace = trace;
-  pkt.incarnation = incarnation_;
-  if (adapt_enabled_) {
-    // Piggyback any pending timing echo for this peer (docs §11): the
-    // measurement the peer's model is waiting for rides home for free.
-    if (auto e = cost_model_->take_echo(link.context)) {
-      pkt.adapt_method = e->method;
-      pkt.adapt_bytes = e->bytes;
-      pkt.adapt_oneway = e->oneway_ns;
-    }
-  }
-
-  clock_->advance(costs_.rsr_send_overhead);
-  pkt.sent_at = now();
-  CommModule& m = link.conn->module();
-  const SendResult r = m.send(*link.conn, std::move(pkt));
-  m.count_send(r);
-  if (r.ok() && observing()) {
-    observe({now(), span, id_, telemetry::Phase::Send, m.trace_label(),
-             r.wire, link.context, 0, trace});
-  }
-  return r;
-}
-
-void Context::note_send_success(MethodId mid, ContextId target,
-                                std::uint16_t trace_label,
-                                telemetry::SpanId span, std::uint64_t trace) {
-  const MethodHealth prev = health_.status(mid, target, now()).state;
-  if (!health_.on_success(mid, target)) return;
-  if (prev == MethodHealth::Dead || prev == MethodHealth::Probation) {
-    // A restore probe succeeded: the quarantined method is back in use.
-    ++cmetrics_->restores;
-    if (observing()) {
-      observe({now(), span, id_, telemetry::Phase::Restore, trace_label, 0,
-               target, 0, trace});
-    }
-  }
-  // Rebirth: any successful send to a declared-dead peer un-declares it and
-  // drains its parked dead letters.
-  if (!dead_peers_.empty() && dead_peers_.erase(target) != 0) {
-    ++cmetrics_->peer_reborns;
-    if (observing()) {
-      observe({now(), span, id_, telemetry::Phase::PeerReborn, trace_label, 0,
-               target, 0, trace});
-    }
-    redeliver_deadletters(target);
-  }
-}
-
-HealthTracker::FailAction Context::note_send_failure(MethodId mid,
-                                                     ContextId target,
-                                                     std::uint16_t trace_label,
-                                                     DeliveryStatus status,
-                                                     telemetry::SpanId span,
-                                                     std::uint64_t trace) {
-  const MethodHealth prev = health_.status(mid, target, now()).state;
-  const HealthTracker::FailAction action = health_.on_failure(
-      mid, target, now(), /*hard=*/status == DeliveryStatus::Dead);
-  if (prev == MethodHealth::Healthy) {
-    ++cmetrics_->suspects;
-    if (observing()) {
-      observe({now(), span, id_, telemetry::Phase::Suspect, trace_label, 0,
-               target, 0, trace});
-    }
-  }
-  if (action == HealthTracker::FailAction::Failover) {
-    ++cmetrics_->failovers;
-    if (observing()) {
-      observe({now(), span, id_, telemetry::Phase::Failover, trace_label, 0,
-               target, 0, trace});
-    }
-    // A quarantine is one of the flight recorder's dump triggers: the
-    // post-mortem should show what led up to the method being declared
-    // dead.  No-op unless a flight dir is configured.
-    tele_->dump_flight("quarantine");
-    // Escalation: a quarantine may have been the last method standing.
-    maybe_declare_peer_dead(target);
-  }
-  return action;
-}
-
-void Context::maybe_declare_peer_dead(ContextId target) {
-  if (target == id_ || target >= world_size()) return;
-  if (dead_peers_.find(target) != dead_peers_.end()) return;
-  // Down only when EVERY applicable method to the peer has been raw-Dead
-  // (no Probation derivation -- an expired backoff means "will probe", not
-  // "recovered") continuously for at least the grace period.
-  const DescriptorTable& table = runtime_->table_of(target);
-  bool any_applicable = false;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const CommDescriptor& d = table.at(i);
-    CommModule* m = module(d.method);
-    if (m == nullptr || !m->applicable(d)) continue;
-    any_applicable = true;
-    const HealthTracker::Status s =
-        health_.raw_status(intern_method(d.method), d.context);
-    if (s.state != MethodHealth::Dead || s.died_at == 0 ||
-        s.died_at + peer_grace_ > now()) {
-      return;
-    }
-  }
-  if (!any_applicable) return;
-  dead_peers_.insert(target);
-  ++cmetrics_->peer_deaths;
-  if (observing()) {
-    observe({now(), 0, id_, telemetry::Phase::PeerDead, 0, 0, target});
-  }
-  // Peer death is a flight-recorder dump trigger: the post-mortem should
-  // show the failure cascade that killed every method.
-  tele_->dump_flight("peer-death");
-  // Evict everything cached about the dead peer: connections, forwarding
-  // routes, and cost-model rows (measurements of its previous life would
-  // poison selection for its next incarnation).
-  std::erase_if(connections_,
-                [target](const auto& kv) { return kv.first.second == target; });
-  forward_routes_.erase(target);
-  cost_model_->evict_peer(target);
-}
-
-void Context::redeliver_deadletters(ContextId target) {
-  if (deadletters_.empty()) return;
-  std::deque<DeadLetter> mine;
-  std::erase_if(deadletters_, [&](DeadLetter& dl) {
-    if (dl.target != target) return false;
-    mine.push_back(std::move(dl));
-    return true;
-  });
-  for (DeadLetter& dl : mine) {
-    if (dl.budget == 0) {
-      ++cmetrics_->deadletter_drops;
-      continue;
-    }
-    --dl.budget;
-    Startpoint sp;
-    Startpoint::Link link;
-    link.context = dl.target;
-    link.endpoint = dl.endpoint;
-    link.table = runtime_->table_of(dl.target);
-    sp.links_.push_back(std::move(link));
-    const bool obs = observing();
-    const telemetry::SpanId span = obs ? next_span() : 0;
-    const std::uint64_t trace = obs ? next_trace() : 0;
-    if (send_with_failover(sp, sp.links_[0], dl.handler, dl.payload, span,
-                           trace) == DeliveryStatus::Ok) {
-      ++cmetrics_->deadletter_redeliveries;
-    } else if (dl.budget == 0) {
-      ++cmetrics_->deadletter_drops;
-    } else if (deadletters_.size() >= deadletter_cap_) {
-      ++cmetrics_->deadletter_drops;
-    } else {
-      deadletters_.push_back(std::move(dl));
-    }
-  }
-}
-
-DeliveryStatus Context::send_with_failover(Startpoint& sp,
-                                           Startpoint::Link& link, HandlerId h,
-                                           const util::SharedBytes& payload,
-                                           telemetry::SpanId span,
-                                           std::uint64_t trace) {
-  // Bounded by the worst case of every table entry walking through its full
-  // failure threshold plus a few restore probes; a healthy fabric exits on
-  // the first iteration.
-  const std::uint64_t max_attempts =
-      health_.params().fail_threshold * (link.table.size() + 1) + 8;
-  std::uint64_t failures = 0;
-  for (;;) {
-    ensure_connection(sp, link, payload.size());
-    const SendResult r = send_on_link(link, h, payload, span, trace);
-    if (r.ok()) {
-      if (!health_.empty()) {
-        note_send_success(intern_method(link.selected_method), link.context,
-                          link.conn->module().trace_label(), span, trace);
-      }
-      if (failures > 0 && tele_->metrics().enabled()) {
-        cmetrics_->rsr_retries.add(failures);
-      }
-      return DeliveryStatus::Ok;
-    }
-    ++failures;
-    const MethodId mid = intern_method(link.selected_method);
-    const HealthTracker::FailAction action = note_send_failure(
-        mid, link.context, link.conn->module().trace_label(), r.status, span,
-        trace);
-    if (failures >= max_attempts) {
-      if (retry_budget_ > 0) {
-        // Dead-letter discipline (docs §14): hand the verdict back so the
-        // caller parks the RSR instead of retrying forever or throwing.
-        evict_connection(link);
-        return DeliveryStatus::Dead;
-      }
-      throw util::MethodError(
-          "rsr to context " + std::to_string(link.context) + " failed " +
-          std::to_string(failures) + " times across every applicable method");
-    }
-    if (sp.forced_method()) {
-      if (action == HealthTracker::FailAction::Failover) {
-        throw util::MethodError(
-            "forced method '" + *sp.forced_method() + "' to context " +
-            std::to_string(link.context) +
-            " was declared dead (failover is disabled while a method is "
-            "forced)");
-      }
-      continue;  // transient: retry the forced method
-    }
-    if (action == HealthTracker::FailAction::Retry) continue;
-    // Failover: drop the dead connection and let selection pick the next
-    // applicable method (the health gate now excludes the quarantined one).
-    selection_log_.push_back(SelectionRecord{
-        link.context, link.selected_method,
-        "failover: method declared dead after " +
-            std::to_string(health_.status(mid, link.context, now()).failures) +
-            " failures",
-        now()});
-    evict_connection(link);
-  }
-}
-
-bool Context::try_send_once(Startpoint& sp, Startpoint::Link& link,
-                            HandlerId h, const util::SharedBytes& payload,
-                            telemetry::SpanId span, std::uint64_t trace) {
-  // One bounded attempt toward a declared-dead peer: the rebirth probe.
-  // Selection may throw (e.g. everything still quarantined with no
-  // fallback); that is just "still dead" here, never an RSR failure.
-  try {
-    ensure_connection(sp, link, payload.size());
-  } catch (const util::MethodError&) {
-    return false;
-  }
-  const SendResult r = send_on_link(link, h, payload, span, trace);
-  const MethodId mid = intern_method(link.selected_method);
-  const std::uint16_t label = link.conn->module().trace_label();
-  if (r.ok()) {
-    // Runs the restore path, which un-declares the peer and drains its
-    // dead letters (this RSR itself was already delivered, so it is NOT
-    // in the queue -- no duplicate delivery).
-    note_send_success(mid, link.context, label, span, trace);
-    return true;
-  }
-  note_send_failure(mid, link.context, label, r.status, span, trace);
-  evict_connection(link);
-  return false;
-}
-
-void Context::deadletter(const Startpoint::Link& link, HandlerId h,
-                         const util::SharedBytes& payload,
-                         telemetry::SpanId span, std::uint64_t trace) {
-  if (deadletters_.size() >= deadletter_cap_) {
-    deadletters_.pop_front();  // bounded queue: oldest letter is dropped
-    ++cmetrics_->deadletter_drops;
-  }
-  deadletters_.push_back(
-      DeadLetter{link.context, link.endpoint, h, payload, retry_budget_});
-  ++cmetrics_->deadletters;
-  if (observing()) {
-    observe({now(), span, id_, telemetry::Phase::Deadletter, 0,
-             payload.size(), link.context, 0, trace});
-  }
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, HandlerId handler,
-                            util::SharedBytes payload) {
-  return rsr_impl(sp, handler, std::move(payload), 0);
-}
-
-DeliveryStatus Context::rsr_traced(Startpoint& sp, HandlerId handler,
-                                   util::SharedBytes payload,
-                                   std::uint64_t trace) {
-  return rsr_impl(sp, handler, std::move(payload), trace);
-}
-
-DeliveryStatus Context::rsr_traced(Startpoint& sp, HandlerId handler,
-                                   const util::PackBuffer& args,
-                                   std::uint64_t trace) {
-  return rsr_impl(sp, handler, util::SharedBytes::copy_of(args.bytes()),
-                  trace);
-}
-
-DeliveryStatus Context::rsr_impl(Startpoint& sp, HandlerId handler,
-                                 util::SharedBytes payload,
-                                 std::uint64_t trace_override) {
-  if (!sp.bound()) {
-    throw util::UsageError("rsr on an unbound startpoint");
-  }
-  std::unique_lock<std::recursive_mutex> lock;
-  if (rt_mutex_) lock = std::unique_lock<std::recursive_mutex>(*rt_mutex_);
-  maybe_crash();
-
-  ++rsrs_sent_;
-  // One root span and one trace id per RSR: every link of a multicast shares
-  // them, and forwarding nodes allocate child spans under the same trace, so
-  // send and dispatch line up causally across contexts.  A caller-supplied
-  // trace (the RPC layer) extends an existing causal chain instead.
-  const bool obs = observing();
-  const telemetry::SpanId span = obs ? next_span() : 0;
-  const std::uint64_t trace =
-      trace_override != 0 ? trace_override : (obs ? next_trace() : 0);
-  DeliveryStatus worst = DeliveryStatus::Ok;
-  for (auto& link : sp.links_) {
-    // Unknown / never-registered target: report Dead instead of throwing
-    // from deep inside the descriptor registry (group pseudo-contexts at or
-    // above kGroupContextBase are real multicast addresses, not errors).
-    if (link.context >= world_size() && link.context < kGroupContextBase) {
-      ++cmetrics_->send_errors;
-      worst = DeliveryStatus::Dead;
-      continue;
-    }
-    if (retry_budget_ > 0 && is_peer_dead(link.context)) {
-      // Dead peer: one probe attempt with the real payload.  Success runs
-      // the rebirth path (and this RSR is delivered); failure parks it.
-      if (!try_send_once(sp, link, handler, payload, span, trace)) {
-        deadletter(link, handler, payload, span, trace);
-        if (worst == DeliveryStatus::Ok) worst = DeliveryStatus::Transient;
-      }
-      continue;
-    }
-    if (send_with_failover(sp, link, handler, payload, span, trace) !=
-        DeliveryStatus::Ok) {
-      deadletter(link, handler, payload, span, trace);
-      if (worst == DeliveryStatus::Ok) worst = DeliveryStatus::Transient;
-    }
-  }
-  // Paper §3.3: the polling function is called at least every time a Nexus
-  // operation is performed.
-  engine_->poll_once();
-  return worst;
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, HandlerId handler,
-                            const util::PackBuffer& args) {
-  return rsr(sp, handler, util::SharedBytes::copy_of(args.bytes()));
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, HandlerId handler) {
-  return rsr(sp, handler, util::SharedBytes{});
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, std::string_view handler,
-                            util::SharedBytes payload) {
-  return rsr(sp, HandlerTable::id_of(handler), std::move(payload));
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, std::string_view handler,
-                            util::Bytes payload) {
-  return rsr(sp, HandlerTable::id_of(handler),
-             util::SharedBytes(std::move(payload)));
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, std::string_view handler,
-                            const util::PackBuffer& args) {
-  return rsr(sp, HandlerTable::id_of(handler),
-             util::SharedBytes::copy_of(args.bytes()));
-}
-
-DeliveryStatus Context::rsr(Startpoint& sp, std::string_view handler) {
-  return rsr(sp, HandlerTable::id_of(handler), util::SharedBytes{});
-}
-
 void Context::crash_check() {
   const simnet::FaultPlan& plan = *fault_plan_;
   if (!plan.crashed(id_, my_partition_, now())) return;
@@ -992,126 +436,6 @@ void Context::deliver(Packet pkt, CommModule* via) {
   }
 }
 
-void Context::forward(Packet pkt) {
-  // This context is acting as a forwarding node (paper §3.3): re-send the
-  // packet toward its true destination over the best local method.
-  // A relay must never fault its own process over traffic it merely
-  // carries: an undeliverable packet (hop bound hit, destination's methods
-  // all dead -- e.g. a crash window) is dropped and counted like any other
-  // sender-side protocol error, and the *sender's* detectors (deadlines,
-  // peer death) report the loss.  Mirrors the unknown-handler contract in
-  // deliver().
-  auto drop_relayed = [&](const char* why) {
-    ++cmetrics_->send_errors;
-    if (observing()) {
-      observe({now(), pkt.span, id_, telemetry::Phase::Drop, 0,
-               pkt.payload.size(), pkt.dst, 0, pkt.trace});
-    }
-    util::log_warn("forward", "context " + std::to_string(id_) +
-                                  " dropped a relayed packet to context " +
-                                  std::to_string(pkt.dst) + " (" + why + ")");
-  };
-  if (++pkt.hops > kMaxForwardHops) {
-    drop_relayed("hop bound");
-    return;
-  }
-  clock_->advance(costs_.dispatch_overhead);
-  // Steady-state forwarding resolves the route (selection + connection)
-  // once per destination; the cache is invalidated whenever the selection
-  // policy or poll configuration changes, and evicted on failover.
-  //
-  // Causal tracing: each forwarding hop is a child span of the span the
-  // packet arrived with, so a stitched trace shows the chain
-  // root -> hop1 -> hop2 -> dispatch.  The packet is restamped with the
-  // child span before re-sending; the trace id rides along unchanged.
-  const telemetry::SpanId parent = pkt.span;
-  const std::uint64_t trace = pkt.trace;
-  const bool obs = observing() && parent != 0;
-  const telemetry::SpanId span = obs ? next_span() : parent;
-  pkt.span = span;
-  const ContextId dst = pkt.dst;
-  // A draining forwarder hands its relay duty to the sibling: the packet's
-  // next hop becomes the sibling (pkt.dst is untouched, so the sibling
-  // forwards it onward; kMaxForwardHops bounds any mis-configured loop).
-  const ContextId via = (draining_ && drain_sibling_ != kNoContext &&
-                         drain_sibling_ != dst && drain_sibling_ != id_)
-                            ? drain_sibling_
-                            : dst;
-  const DescriptorTable& full = runtime_->table_of(via);
-  const std::uint64_t max_attempts =
-      health_.params().fail_threshold * (full.size() + 1) + 8;
-  // Descriptors that land back on this relay (the destination's tcp-class
-  // entry names its partition forwarder -- us) are excluded from relay
-  // selection: when the direct methods die, failover must not pick the
-  // route through ourselves and ping-pong the packet into the hop bound.
-  std::optional<DescriptorTable> filtered;
-  auto relay_table = [&]() -> const DescriptorTable& {
-    if (!filtered) {
-      std::vector<CommDescriptor> usable;
-      for (const CommDescriptor& d : full.entries()) {
-        CommModule* m = module(d.method);
-        if (m != nullptr && m->landing_context(d) == id_) continue;
-        usable.push_back(d);
-      }
-      filtered.emplace(std::move(usable));
-    }
-    return *filtered;
-  };
-  std::uint64_t failures = 0;
-  for (;;) {
-    std::shared_ptr<CommObject> conn;
-    if (auto cached = forward_routes_.find(via);
-        cached != forward_routes_.end()) {
-      conn = cached->second;
-    } else {
-      const DescriptorTable& table = relay_table();
-      std::string reason;
-      auto idx = selector_->select(table, *this, reason);
-      if (!idx) idx = quarantined_fallback(table);
-      if (!idx) {
-        drop_relayed("no applicable relay method");
-        return;
-      }
-      conn = cached_connection(table.at(*idx));
-      forward_routes_.emplace(via, conn);
-    }
-    CommModule& m = conn->module();
-    // Each attempt copies the packet (a SharedBytes refcount bump, no byte
-    // copy) because send() consumes its argument even when delivery fails.
-    Packet attempt = pkt;
-    const SendResult r = m.send(*conn, std::move(attempt));
-    m.count_send(r);
-    if (r.ok()) {
-      if (!health_.empty()) {
-        note_send_success(intern_method(m.name()), via, m.trace_label(), span,
-                          trace);
-      }
-      if (observing()) {
-        observe({now(), span, id_, telemetry::Phase::Forward, m.trace_label(),
-                 r.wire, dst, parent, trace});
-      }
-      return;
-    }
-    ++failures;
-    const HealthTracker::FailAction action = note_send_failure(
-        intern_method(m.name()), via, m.trace_label(), r.status, span, trace);
-    if (failures >= max_attempts) {
-      drop_relayed("every relay method exhausted");
-      return;
-    }
-    if (action == HealthTracker::FailAction::Failover) {
-      // Evict the dead route and connection; the next iteration re-selects
-      // with the quarantined method excluded by the health gate.
-      std::erase_if(connections_, [&](const auto& kv) {
-        return kv.second == conn;
-      });
-      std::erase_if(forward_routes_, [&](const auto& kv) {
-        return kv.second == conn;
-      });
-    }
-  }
-}
-
 void Context::set_skip_poll(std::string_view method, std::uint64_t skip) {
   engine_->set_skip(method, skip);
   update_interference();
@@ -1188,46 +512,6 @@ void Context::register_adapt_handlers() {
                    [](Context&, Endpoint&, util::UnpackBuffer&) {});
 }
 
-void Context::probe_method(const CommDescriptor& d) {
-  // Group pseudo-contexts and self-loops are never probed.
-  if (d.context == id_ || d.context >= world_size()) return;
-  CommModule* m = module(d.method);
-  if (m == nullptr || !m->applicable(d)) return;
-  auto conn = cached_connection(d);
-  util::PackBuffer pb;
-  pb.put_u32(id_);
-  Packet pkt;
-  pkt.src = id_;
-  pkt.dst = d.context;
-  pkt.endpoint = kRootEndpointId;
-  pkt.handler = resolve_handler("adapt.probe");
-  pkt.payload = util::SharedBytes::copy_of(pb.bytes());
-  if (auto e = cost_model_->take_echo(d.context)) {
-    pkt.adapt_method = e->method;
-    pkt.adapt_bytes = e->bytes;
-    pkt.adapt_oneway = e->oneway_ns;
-  }
-  clock_->advance(costs_.rsr_send_overhead);
-  pkt.sent_at = now();
-  const SendResult r = m->send(*conn, std::move(pkt));
-  m->count_send(r);
-  ++cmetrics_->adapt_probes;
-  if (observing()) {
-    observe({now(), 0, id_, telemetry::Phase::AdaptProbe, m->trace_label(),
-             r.wire, d.context});
-  }
-  if (health_.empty()) return;
-  if (r.ok()) {
-    note_send_success(intern_method(d.method), d.context, m->trace_label());
-  } else {
-    // A failed probe is a real delivery failure: it walks the method
-    // towards quarantine exactly like an application send would, which
-    // is what keeps a dead method from being re-probed at full rate.
-    note_send_failure(intern_method(d.method), d.context, m->trace_label(),
-                      r.status);
-  }
-}
-
 bool Context::rerank_link(Startpoint::Link& link) {
   if (link.context >= world_size()) return false;  // group tables keep
                                                    // their manual order
@@ -1239,10 +523,7 @@ bool Context::rerank_link(Startpoint::Link& link) {
   // The order change invalidates this link's cached selection; the global
   // connection cache keeps the objects, so re-selecting the same method is
   // free.
-  link.conn.reset();
-  link.selected_method.clear();
-  link.degraded = false;
-  link.reprobe_at = 0;
+  link.clear_selection();
   if (observing()) {
     observe({now(), 0, id_, telemetry::Phase::AdaptRerank, 0,
              link.table.size(), link.context});

@@ -77,8 +77,8 @@ class Context {
   HandlerId register_handler(std::string_view name, Handler fn,
                              HandlerKind kind = HandlerKind::NonThreaded);
   /// The wire id `name` dispatches to (the FNV-1a hash; stable across
-  /// contexts).  Steady-state senders resolve once and use the
-  /// rsr(sp, HandlerId, ...) overloads to skip per-call hashing.
+  /// contexts).  Steady-state senders resolve once and pass the id to rsr()
+  /// to skip per-call hashing.
   static HandlerId resolve_handler(std::string_view name) noexcept {
     return HandlerTable::id_of(name);
   }
@@ -106,29 +106,17 @@ class Context {
   /// after the peer's rebirth); Dead when a link addressed an unknown /
   /// never-registered context (the RSR is counted in send_errors and
   /// dropped, never thrown from deep in the descriptor table).
-  DeliveryStatus rsr(Startpoint& sp, HandlerId handler,
-                     util::SharedBytes payload);
-  DeliveryStatus rsr(Startpoint& sp, HandlerId handler,
-                     const util::PackBuffer& args);
-  /// Zero-payload RSR by pre-resolved handler id.
-  DeliveryStatus rsr(Startpoint& sp, HandlerId handler);
-  /// Name-based conveniences: hash the handler name per call.
-  DeliveryStatus rsr(Startpoint& sp, std::string_view handler,
-                     util::SharedBytes payload);
-  DeliveryStatus rsr(Startpoint& sp, std::string_view handler,
-                     util::Bytes payload);
-  DeliveryStatus rsr(Startpoint& sp, std::string_view handler,
-                     const util::PackBuffer& args);
-  /// Zero-payload RSR.
-  DeliveryStatus rsr(Startpoint& sp, std::string_view handler);
-  /// RSR riding an existing causal trace: layered protocols (the RPC
-  /// subsystem's request, bulk pull/chunk, and reply frames) pass the
-  /// call's trace id so every hop stitches into one end-to-end trace.
-  /// trace == 0 behaves exactly like rsr().
-  DeliveryStatus rsr_traced(Startpoint& sp, HandlerId handler,
-                            util::SharedBytes payload, std::uint64_t trace);
-  DeliveryStatus rsr_traced(Startpoint& sp, HandlerId handler,
-                            const util::PackBuffer& args, std::uint64_t trace);
+  ///
+  /// `handler` is a pre-resolved id or a name (hashed per call).  A nonzero
+  /// `trace` rides an existing causal trace instead of starting one:
+  /// layered protocols (the RPC subsystem's request, bulk pull/chunk, and
+  /// reply frames) pass the call's trace id so every hop stitches into one
+  /// end-to-end trace.
+  DeliveryStatus rsr(Startpoint& sp, HandlerRef handler,
+                     util::SharedBytes payload = {}, std::uint64_t trace = 0);
+  /// Same, copying a packed argument buffer into the shared payload.
+  DeliveryStatus rsr(Startpoint& sp, HandlerRef handler,
+                     const util::PackBuffer& args, std::uint64_t trace = 0);
 
   /// The packet currently being dispatched to a handler on this context
   /// (null outside handler dispatch).  Lets layered protocols alias the
@@ -318,17 +306,13 @@ class Context {
  private:
   /// Small integer id for an interned method name (connection-cache keys).
   using MethodId = std::uint32_t;
+  /// Every context's root endpoint; bootstrap startpoints target it.
+  static constexpr EndpointId kRootEndpointId = 1;
 
   /// `via` is the module that polled the packet in (nullptr when unknown,
   /// e.g. loopback dispatch); the adaptive engine uses it to attribute
   /// one-way timing samples.
   void deliver(Packet pkt, CommModule* via = nullptr);
-  /// Shared body of rsr() / rsr_traced(): `trace_override` != 0 reuses an
-  /// existing causal chain instead of allocating a fresh trace id.
-  DeliveryStatus rsr_impl(Startpoint& sp, HandlerId handler,
-                          util::SharedBytes payload,
-                          std::uint64_t trace_override);
-  void dispatch_local(Packet pkt);
   void forward(Packet pkt);
   void ensure_connection(const Startpoint& sp, Startpoint::Link& link,
                          std::uint64_t payload_bytes);
@@ -340,12 +324,31 @@ class Context {
   void register_adapt_handlers();
   std::shared_ptr<CommObject> cached_connection(const CommDescriptor& d);
   MethodId intern_method(std::string_view name);
-  SendResult send_on_link(Startpoint::Link& link, HandlerId h,
-                          const util::SharedBytes& payload,
-                          telemetry::SpanId span, std::uint64_t trace);
+
+  // --- the send path (send.cpp; docs/ARCHITECTURE.md §3.1) ---
+  /// Build one locally originated packet (RSR, dead-letter redelivery,
+  /// rebirth or adaptive probe): envelope, incarnation, any pending timing
+  /// echo for `dst`, and the per-RSR send overhead charged before stamping
+  /// sent_at.  The payload buffer is aliased, never copied.
+  Packet outbound_packet(ContextId dst, EndpointId endpoint, HandlerId h,
+                         const util::SharedBytes& payload,
+                         telemetry::SpanId span, std::uint64_t trace);
+  /// One send attempt on `conn`, the only place a packet meets
+  /// CommModule::send: count the verdict, record `sent` (its phase, span,
+  /// aux, parent and trace; the rest is filled here) when the packet went
+  /// out, and feed the health tracker for (method, `target`).  Returns
+  /// nullopt on delivery, else the health tracker's verdict.
+  std::optional<HealthTracker::FailAction> send_attempt(
+      CommObject& conn, Packet pkt, ContextId target, telemetry::Event sent);
+  /// Attempt bound of a failover loop over `table`: every entry walking
+  /// through its full failure threshold plus a few restore probes.
+  std::uint64_t max_attempts(const DescriptorTable& table) const {
+    return health_.params().fail_threshold * (table.size() + 1) + 8;
+  }
   /// The failover loop around one link's send: feed outcomes to the health
-  /// tracker, retry transient failures, evict + re-select dead methods.
-  /// Returns Ok on delivery.  When the attempt bound is exhausted: with a
+  /// tracker, retry transient failures, evict + re-select dead methods, at
+  /// most `attempts` times (1 = the rebirth probe toward a declared-dead
+  /// peer).  Returns Ok on delivery.  When the bound is exhausted: with a
   /// dead-letter budget configured (robust.retry_budget > 0) returns Dead so
   /// the caller can deadletter the RSR; otherwise throws MethodError (the
   /// pre-robustness contract every existing caller relies on).
@@ -353,25 +356,33 @@ class Context {
                                     HandlerId h,
                                     const util::SharedBytes& payload,
                                     telemetry::SpanId span,
-                                    std::uint64_t trace);
+                                    std::uint64_t trace,
+                                    std::uint64_t attempts);
+  /// Point `link` at the descriptor the policy picked at `idx`: connect,
+  /// refresh its degradation state, record the Select event, and log
+  /// `reason` unless it is empty.
+  void adopt_selection(Startpoint::Link& link, std::size_t idx,
+                       std::string reason);
   /// Drop a link's cached connection (and every cache entry sharing it) so
   /// the next attempt re-runs selection.
   void evict_connection(Startpoint::Link& link);
+  /// Purge `conn` from the connection cache and the forwarding routes.
+  void drop_connection(const std::shared_ptr<CommObject>& conn);
   /// When everything applicable is quarantined, probe the entry whose
   /// backoff expires soonest instead of failing the RSR.
   std::optional<std::size_t> quarantined_fallback(const DescriptorTable& table);
   /// Recompute Link::degraded/reprobe_at after a selection won at `winner`.
   void refresh_link_degradation(Startpoint::Link& link, std::size_t winner);
-  /// Health-tracker bookkeeping shared by the rsr and forwarding send paths.
-  /// Returns the action to take; updates telemetry counters and traces.
+  /// Health-tracker bookkeeping behind send_attempt().  Returns the action
+  /// to take; updates telemetry counters and traces.
   HealthTracker::FailAction note_send_failure(MethodId mid, ContextId target,
                                               std::uint16_t trace_label,
                                               DeliveryStatus status,
-                                              telemetry::SpanId span = 0,
-                                              std::uint64_t trace = 0);
+                                              telemetry::SpanId span,
+                                              std::uint64_t trace);
   void note_send_success(MethodId mid, ContextId target,
-                         std::uint16_t trace_label,
-                         telemetry::SpanId span = 0, std::uint64_t trace = 0);
+                         std::uint16_t trace_label, telemetry::SpanId span,
+                         std::uint64_t trace);
 
   // --- robustness internals (docs/ARCHITECTURE.md §14) ---
   /// Out-of-line body of maybe_crash(): evaluates the crash rules against
@@ -393,12 +404,6 @@ class Context {
   void deadletter(const Startpoint::Link& link, HandlerId h,
                   const util::SharedBytes& payload, telemetry::SpanId span,
                   std::uint64_t trace);
-  /// Single bounded send attempt toward a declared-dead peer (the rebirth
-  /// probe).  Success runs the normal restore path, which un-declares the
-  /// peer and drains its dead letters; returns whether the send succeeded.
-  bool try_send_once(Startpoint& sp, Startpoint::Link& link, HandlerId h,
-                     const util::SharedBytes& payload, telemetry::SpanId span,
-                     std::uint64_t trace);
   /// After a Failover verdict: if every applicable method to `target` has
   /// been raw-Dead past the grace period, declare the peer down and evict
   /// everything cached about it.

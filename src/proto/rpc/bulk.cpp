@@ -61,8 +61,7 @@ void BulkProvider::serve_pull(util::UnpackBuffer& ub) {
     pb.put_string(unknown ? "bulk handle not registered (or released)"
                           : "pull window exceeds registered region");
     try {
-      ctx_.rsr_traced(sp, Context::resolve_handler(kBulkErrHandler), pb,
-                      trace);
+      ctx_.rsr(sp, Context::resolve_handler(kBulkErrHandler), pb, trace);
     } catch (const util::MethodError&) {
       // Best effort: the puller's own deadline bounds the transfer.
     }
@@ -73,8 +72,7 @@ void BulkProvider::serve_pull(util::UnpackBuffer& ub) {
   pb.put_u64(offset);
   pb.put_bytes(it->second.view(offset, len).span());
   try {
-    ctx_.rsr_traced(sp, Context::resolve_handler(kBulkChunkHandler), pb,
-                    trace);
+    ctx_.rsr(sp, Context::resolve_handler(kBulkChunkHandler), pb, trace);
   } catch (const util::MethodError&) {
     // Dropped chunk: the puller's retry cadence re-requests it.
   }
@@ -132,8 +130,8 @@ void BulkPuller::start(std::uint64_t key, ContextId owner, BulkHandle handle,
 }
 
 void BulkPuller::pump(std::uint64_t key) {
-  // rsr_traced() polls, which can deliver chunk/error frames reentrantly
-  // and mutate pulls_ -- re-find the entry on every iteration and never
+  // rsr() polls, which can deliver chunk/error frames reentrantly and
+  // mutate pulls_ -- re-find the entry on every iteration and never
   // hold a reference across a send.
   while (true) {
     auto it = pulls_.find(key);
@@ -167,7 +165,7 @@ bool BulkPuller::request_chunk(ContextId owner, std::uint64_t bulk_id,
   pb.put_u64(offset);
   pb.put_u32(len);
   try {
-    const DeliveryStatus st = ctx_.rsr_traced(
+    const DeliveryStatus st = ctx_.rsr(
         sp_to(owner), Context::resolve_handler(kBulkPullHandler), pb, trace);
     if (st == DeliveryStatus::Dead) return false;
   } catch (const util::MethodError&) {

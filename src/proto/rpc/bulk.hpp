@@ -18,7 +18,7 @@
 //     reassembling into ONE preallocated buffer -- exactly one receive-side
 //     allocation per transfer -- handed off as a zero-copy SharedBytes.
 //
-// Every pull/chunk/error frame rides rsr_traced() with the owning call's
+// Every pull/chunk/error frame is an rsr() carrying the owning call's
 // trace id, so a stitched trace shows request -> pulls -> reply end to end.
 #pragma once
 

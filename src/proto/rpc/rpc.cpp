@@ -112,8 +112,7 @@ CallId Client::issue(ContextId server, std::string_view service,
   Startpoint& sp = route(server);
   DeliveryStatus st;
   try {
-    st = ctx_.rsr_traced(sp, Context::resolve_handler(kReqHandler), pb,
-                         trace);
+    st = ctx_.rsr(sp, Context::resolve_handler(kReqHandler), pb, trace);
   } catch (const util::MethodError& e) {
     complete(id, CallStatus::PeerDied, {}, e.what());
     return id;
@@ -288,8 +287,8 @@ void Client::cancel(CallId id) {
   util::PackBuffer pb(8);
   pb.put_u64(id);
   try {
-    ctx_.rsr_traced(route(server), Context::resolve_handler(kCancelHandler),
-                    pb, trace);
+    ctx_.rsr(route(server), Context::resolve_handler(kCancelHandler), pb,
+             trace);
   } catch (const util::MethodError&) {
   }
 }
@@ -567,8 +566,7 @@ void Server::reply(const Req& r, CallStatus status,
     it = routes_.emplace(r.client, ctx_.world_startpoint(r.client)).first;
   }
   try {
-    ctx_.rsr_traced(it->second, Context::resolve_handler(kRepHandler), pb,
-                    r.trace);
+    ctx_.rsr(it->second, Context::resolve_handler(kRepHandler), pb, r.trace);
   } catch (const util::MethodError&) {
     // Undeliverable reply: the client's deadline/peer-death detection
     // resolves the call; nothing to do here.

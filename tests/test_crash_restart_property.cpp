@@ -14,7 +14,9 @@
 //     receiver instead of corrupting the new stream;
 //   - a receiver that crashes mid-window comes back with a bumped epoch
 //     and the write-ahead floor dup-drops retransmits of frames it already
-//     delivered in its previous life.
+//     delivered in its previous life;
+//   - an adaptive probe sent after a restart carries the new incarnation,
+//     like every other packet, so it cannot wedge the reliable stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "fixture_runtime.hpp"
+#include "nexus/adapt/adaptive_selector.hpp"
 #include "nexus/runtime.hpp"
 #include "proto/reliable.hpp"
 #include "util/rng.hpp"
@@ -393,6 +396,66 @@ TEST(CrashRestart, ReceiverReincarnationMidWindowStaysExactlyOnce) {
   for (std::uint64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(delivered[i], 1)
         << "sequence " << i << " delivered " << delivered[i] << " times";
+  }
+}
+
+// An adaptive probe is a packet like any other: after a crash restart it
+// must carry the new incarnation.  Here the sender's first probe of rel+udp
+// falls due after its restart and takes the reliable stream's first
+// sequence number; stamped with the dead incarnation, it would be dup-dropped
+// as an old-life frame while the second life's data moves the receiver to
+// the new epoch, so every retransmit of that sequence is then rejected and
+// the RSRs queued behind it are never delivered.
+TEST(CrashRestart, AdaptiveProbeAfterRestartCarriesNewIncarnation) {
+  RuntimeOptions opts = opts_with({"local", "rel+udp", "tcp"},
+                                  simnet::Topology::single_partition(2));
+  opts.threads = 1;  // crash windows are single-shard clock idioms (§13.4)
+  opts.costs.udp_drop_prob = 0.0;
+  opts.faults.crash(1, 3 * kMs, 8 * kMs);
+  Runtime rt(opts);
+
+  std::map<std::uint64_t, int> delivered;
+  std::uint64_t epoch_rejects = 0;
+
+  run_mpmd(rt, {[&](Context& ctx) {  // receiver
+                  ctx.register_handler(
+                      "seq", [&](Context&, Endpoint&, util::UnpackBuffer& ub) {
+                        ++delivered[ub.get_u64()];
+                      });
+                  while (ctx.now() < 300 * kMs) {
+                    ctx.compute_with_polling(2 * kMs, 500 * kUs);
+                  }
+                  epoch_rejects =
+                      ctx.method_counters("rel+udp").rel_epoch_rejects;
+                },
+                [&](Context& ctx) {  // sender, crashed at 3 ms
+                  ctx.set_selector(
+                      std::make_unique<adapt::AdaptiveSelector>());
+                  Startpoint sp = ctx.world_startpoint(0);
+                  auto send = [&](std::uint64_t v) {
+                    util::PackBuffer pb(16);
+                    pb.put_u64(v);
+                    return ctx.rsr(sp, "seq", pb);
+                  };
+                  send(0);
+                  send(1);
+                  // Silent through the crash window until the selector's
+                  // next rel+udp probe is due.
+                  while (ctx.now() < 40 * kMs) {
+                    ctx.compute_with_polling(1 * kMs, 250 * kUs);
+                  }
+                  ASSERT_EQ(ctx.incarnation(), 2u);
+                  for (std::uint64_t v = 100; v < 103; ++v) {
+                    EXPECT_EQ(send(v), DeliveryStatus::Ok) << "payload " << v;
+                  }
+                  while (ctx.now() < 300 * kMs) {
+                    ctx.compute_with_polling(2 * kMs, 500 * kUs);
+                  }
+                }});
+
+  EXPECT_EQ(epoch_rejects, 0u);
+  for (const std::uint64_t v : {0ull, 1ull, 100ull, 101ull, 102ull}) {
+    EXPECT_EQ(delivered[v], 1) << "payload " << v;
   }
 }
 
